@@ -23,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -51,6 +52,7 @@
 #include "sim/generators.h"
 #include "sim/hierarchy.h"
 #include "util/parallel.h"
+#include "util/units.h"
 
 using namespace nanocache;
 
@@ -447,47 +449,87 @@ int emit_parallel_sweep_json(const std::string& path) {
   return deterministic && memoized && perf_ok ? 0 : 1;
 }
 
-/// Pruned-search + persistent-cache accounting, written next to the
-/// parallel-sweep JSON.  Exit 0 requires byte-identical pruned/exhaustive
-/// serializations, the >= 5x scheme-I combo reduction the differential
-/// tests enforce, and a warm disk-cache pass that actually hits.
-int emit_pruned_search_json(const std::string& path) {
+/// Bitwise equality of two search outcomes: same feasibility and
+/// diagnosis, same assignment, same bits in every figure.
+bool same_outcome(const opt::OptOutcome<opt::SchemeResult>& a,
+                  const opt::OptOutcome<opt::SchemeResult>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return a.why().describe() == b.why().describe();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a->assignment == b->assignment &&
+         bits(a->leakage_w) == bits(b->leakage_w) &&
+         bits(a->access_time_s) == bits(b->access_time_s) &&
+         bits(a->dynamic_energy_j) == bits(b->dynamic_energy_j);
+}
+
+/// One search engine's answers to a list of optimizations, with the
+/// opt.combos_evaluated / opt.combos_skipped deltas they cost.
+struct SearchRun {
+  std::vector<opt::OptOutcome<opt::SchemeResult>> outcomes;
+  std::uint64_t combos = 0;
+  std::uint64_t skips = 0;
+};
+
+struct SearchCall {
+  const opt::ComponentEvaluator* eval;
+  const opt::KnobGrid* grid;
+  opt::Scheme scheme;
+  double delay_s;
+  opt::OptSpace space;
+};
+
+template <typename Search>
+SearchRun run_search(const Search& search,
+                     const std::vector<SearchCall>& calls) {
   auto& registry = metrics::Registry::instance();
   auto& evaluated = registry.counter("opt.combos_evaluated");
   auto& skipped = registry.counter("opt.combos_skipped");
+  SearchRun run;
+  const std::uint64_t evaluated_before = evaluated.value();
+  const std::uint64_t skipped_before = skipped.value();
+  for (const auto& c : calls) {
+    run.outcomes.push_back(
+        search(*c.eval, *c.grid, c.scheme, c.delay_s, c.space));
+  }
+  run.combos = evaluated.value() - evaluated_before;
+  run.skips = skipped.value() - skipped_before;
+  return run;
+}
 
-  api::Request schemes_request;
-  schemes_request.kind = api::RequestKind::kSweep;
-  schemes_request.sweep.kind = api::SweepKind::kSchemes;
+bool same_outcomes(const SearchRun& a, const SearchRun& b) {
+  return std::equal(a.outcomes.begin(), a.outcomes.end(), b.outcomes.begin(),
+                    b.outcomes.end(), same_outcome);
+}
 
-  const auto run_mode = [&](bool exhaustive, std::uint64_t* combos,
-                            std::uint64_t* skips) {
-    api::ServiceConfig config;
-    config.exhaustive_search = exhaustive;
-    auto service = api::Service::create(config);
-    if (!service) {
-      std::cerr << "service: " << service.error().message << "\n";
-      std::exit(1);
+/// Pruned-search + persistent-cache accounting, written next to the
+/// parallel-sweep JSON.  Exit 0 requires bitwise-identical pruned and
+/// exhaustive (opt::optimize_exhaustive) results over the scheme-comparison
+/// sweep, the >= 5x combo reduction the differential tests enforce, and a
+/// warm disk-cache pass that actually hits.
+int emit_pruned_search_json(const std::string& path) {
+  // The scheme-comparison sweep's inputs, exactly as the service builds
+  // them: its explorer's evaluator over the default L1 and the default
+  // delay ladder, every target under all three schemes.
+  const auto sweep_service = fresh_service();
+  const auto& explorer = sweep_service->explorer();
+  const std::uint64_t l1_bytes = explorer.config().l1_size_bytes;
+  const auto eval = explorer.evaluator(explorer.l1_model(l1_bytes));
+  std::vector<SearchCall> calls;
+  for (const double target : explorer.delay_ladder(
+           l1_bytes, api::SweepRequest{}.ladder_steps)) {
+    for (const auto scheme :
+         {opt::Scheme::kPerComponent, opt::Scheme::kArrayPeriphery,
+          opt::Scheme::kUniform}) {
+      calls.push_back({&eval, &explorer.config().grid, scheme, target,
+                       opt::OptSpace::base()});
     }
-    const std::uint64_t evaluated_before = evaluated.value();
-    const std::uint64_t skipped_before = skipped.value();
-    const std::string bytes =
-        api::response_to_json(service.value()->serve(schemes_request));
-    *combos = evaluated.value() - evaluated_before;
-    *skips = skipped.value() - skipped_before;
-    return bytes;
-  };
-
-  std::uint64_t pruned_combos = 0, pruned_skips = 0;
-  std::uint64_t exhaustive_combos = 0, exhaustive_skips = 0;
-  const std::string pruned_bytes = run_mode(false, &pruned_combos,
-                                            &pruned_skips);
-  const std::string exhaustive_bytes = run_mode(true, &exhaustive_combos,
-                                                &exhaustive_skips);
-  const bool search_identical = pruned_bytes == exhaustive_bytes;
-  const double ratio = pruned_combos > 0
-                           ? static_cast<double>(exhaustive_combos) /
-                                 static_cast<double>(pruned_combos)
+  }
+  const auto pruned = run_search(opt::optimize_single_cache, calls);
+  const auto exhaustive = run_search(opt::optimize_exhaustive, calls);
+  const bool search_identical = same_outcomes(pruned, exhaustive);
+  const double ratio = pruned.combos > 0
+                           ? static_cast<double>(exhaustive.combos) /
+                                 static_cast<double>(pruned.combos)
                            : 0.0;
 
   // Cold/warm persistent-cache pass: same workload, fresh service each
@@ -532,9 +574,9 @@ int emit_pruned_search_json(const std::string& path) {
   }
   out << "{\n"
       << "  \"pruning\": {\n"
-      << "    \"exhaustive_combos\": " << exhaustive_combos << ",\n"
-      << "    \"pruned_combos\": " << pruned_combos << ",\n"
-      << "    \"pruned_combos_skipped\": " << pruned_skips << ",\n"
+      << "    \"exhaustive_combos\": " << exhaustive.combos << ",\n"
+      << "    \"pruned_combos\": " << pruned.combos << ",\n"
+      << "    \"pruned_combos_skipped\": " << pruned.skips << ",\n"
       << "    \"reduction_ratio\": " << ratio << ",\n"
       << "    \"byte_identical\": " << (search_identical ? "true" : "false")
       << "\n"
@@ -558,10 +600,12 @@ int emit_pruned_search_json(const std::string& path) {
   return ok ? 0 : 1;
 }
 
-/// The v3 design space swept pruned-vs-exhaustive: one optimize request
-/// per sampled (associativity, banks, node, gating) point, served by a
-/// pruned and an exhaustive service with per-point combo-counter deltas.
-/// Exit 0 requires byte-identical responses at every point.
+/// The v3 design space swept pruned-vs-exhaustive: one Scheme I
+/// optimization per sampled (associativity, banks, node, gating) point,
+/// solved by opt::optimize_single_cache and opt::optimize_exhaustive on the
+/// model, grid, space and target the service would use, with per-point
+/// combo-counter deltas.  Exit 0 requires bitwise-identical results at
+/// every point.
 int emit_design_space_json(const std::string& path) {
   struct Point {
     int associativity;       // 0 = default organization
@@ -578,38 +622,8 @@ int emit_design_space_json(const std::string& path) {
       {8, 0, 45, false, 3000.0}, {1, 4, 32, false, 3000.0},
       {-1, 0, 0, false, 200000.0}, {0, 0, 0, true, 1400.0},
   };
-
-  auto& registry = metrics::Registry::instance();
-  auto& evaluated = registry.counter("opt.combos_evaluated");
-
-  const auto request_for = [](const Point& p) {
-    api::Request r;
-    r.kind = api::RequestKind::kOptimize;
-    r.optimize.scheme = api::SchemeId::kI;
-    r.optimize.delay.target_ps = p.target_ps;
-    r.optimize.organization.associativity = p.associativity;
-    r.optimize.organization.banks = p.banks;
-    r.optimize.node_nm = p.node_nm;
-    r.optimize.power_gating.enabled = p.gated;
-    if (p.gated) r.optimize.power_gating.perf_loss_budget = 0.1;
-    return r;
-  };
-
-  const auto run_mode = [&](const api::Request& request, bool exhaustive,
-                            std::uint64_t* combos) {
-    api::ServiceConfig config;
-    config.exhaustive_search = exhaustive;
-    auto service = api::Service::create(config);
-    if (!service) {
-      std::cerr << "service: " << service.error().message << "\n";
-      std::exit(1);
-    }
-    const std::uint64_t before = evaluated.value();
-    const std::string bytes =
-        api::response_to_json(service.value()->serve(request));
-    *combos = evaluated.value() - before;
-    return bytes;
-  };
+  constexpr std::uint64_t kL1Bytes = 16 * 1024;
+  constexpr double kPerfLossBudget = 0.1;
 
   bool all_identical = true;
   std::uint64_t total_pruned = 0, total_exhaustive = 0;
@@ -621,19 +635,39 @@ int emit_design_space_json(const std::string& path) {
   out << "{\n  \"design_space\": {\n    \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
-    const auto request = request_for(p);
-    std::uint64_t pruned_combos = 0, exhaustive_combos = 0;
-    const std::string pruned = run_mode(request, false, &pruned_combos);
-    const std::string exhaustive = run_mode(request, true, &exhaustive_combos);
-    const bool identical = pruned == exhaustive;
+    // Node 0 is the default 65 nm technology on the paper's grid; other
+    // nodes use their own oxide window, as the service's node explorers do.
+    const auto params =
+        p.node_nm == 0 ? tech::bptm65() : tech::node_params(p.node_nm);
+    opt::KnobGrid grid = opt::KnobGrid::paper_default();
+    if (p.node_nm != 0) grid.tox_values = tech::node_tox_grid(params);
+    const bool default_org = p.associativity == 0 && p.banks == 0;
+    tech::DeviceModel dev(params);
+    const cachemodel::CacheModel model(
+        default_org ? cachemodel::l1_organization(kL1Bytes, dev)
+                    : cachemodel::extended_organization(
+                          kL1Bytes, false, p.associativity,
+                          p.banks == 0 ? 1 : p.banks, dev),
+        tech::DeviceModel(params));
+    const auto eval = opt::structural_evaluator(model);
+    opt::OptSpace space =
+        default_org ? opt::OptSpace::base() : opt::OptSpace::extended();
+    space.gating.enabled = p.gated;
+    const double target_s = units::ps_to_seconds(p.target_ps) *
+                             (p.gated ? 1.0 + kPerfLossBudget : 1.0);
+    const std::vector<SearchCall> call = {
+        {&eval, &grid, opt::Scheme::kPerComponent, target_s, space}};
+    const auto pruned = run_search(opt::optimize_single_cache, call);
+    const auto exhaustive = run_search(opt::optimize_exhaustive, call);
+    const bool identical = same_outcomes(pruned, exhaustive);
     all_identical = all_identical && identical;
-    total_pruned += pruned_combos;
-    total_exhaustive += exhaustive_combos;
+    total_pruned += pruned.combos;
+    total_exhaustive += exhaustive.combos;
     out << "      {\"associativity\": " << p.associativity
         << ", \"banks\": " << p.banks << ", \"node_nm\": " << p.node_nm
         << ", \"power_gating\": " << (p.gated ? "true" : "false")
-        << ", \"pruned_combos\": " << pruned_combos
-        << ", \"exhaustive_combos\": " << exhaustive_combos
+        << ", \"pruned_combos\": " << pruned.combos
+        << ", \"exhaustive_combos\": " << exhaustive.combos
         << ", \"byte_identical\": " << (identical ? "true" : "false") << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
   }

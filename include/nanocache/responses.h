@@ -131,7 +131,7 @@ struct CapabilitiesResponse {
   std::uint64_t l2_size_bytes = 0;
 
   int threads = 0;             ///< resolved worker-pool width
-  std::string search_mode;     ///< "pruned" or "exhaustive"
+  std::string search_mode;     ///< always "pruned" (the only engine)
   bool fitted_models = false;  ///< optimizers use the fitted closed forms
   bool disk_cache = false;     ///< persistent result cache enabled
   std::string cache_dir;       ///< its directory (empty when disabled)

@@ -59,7 +59,7 @@ struct ServiceConfig {
   /// Directory for the persistent cross-run result cache (the CLI's
   /// --cache-dir / NANOCACHE_CACHE_DIR).  Empty disables persistence.
   /// Segments are content-addressed by a fingerprint over this
-  /// configuration + schema/API version + search mode, so runs with
+  /// configuration + schema/API version, so runs with
   /// different configurations never share entries; an unusable directory is
   /// a typed kIo error from Service::create.
   std::string cache_dir;
@@ -68,17 +68,11 @@ struct ServiceConfig {
   /// --surrogate-dir / NANOCACHE_SURROGATE_DIR, written by `nanocache_cli
   /// precompute --out`).  Empty disables the surrogate tier.  Tables are
   /// bound to the same configuration fingerprint as disk-cache segments, so
-  /// a model/schema/search-mode change invalidates them; a missing
+  /// a model/schema change invalidates them; a missing
   /// directory or missing/corrupt table file degrades to exact serving
   /// (never a wrong answer), while a path that exists but is not a
   /// directory is a typed kIo error from Service::create.
   std::string surrogate_dir;
-
-  /// Use the exhaustive reference search instead of the dominance-pruned
-  /// engine (the CLI's --search exhaustive).  Results are byte-identical
-  /// either way; the exhaustive path exists as the differential-testing
-  /// oracle and costs ~an order of magnitude more combo evaluations.
-  bool exhaustive_search = false;
 
   /// Lock-stripe shard count of the in-process memoization cache (0 = the
   /// library default, currently 16).  Must be a power of two in [1, 4096];
@@ -109,7 +103,7 @@ class Service {
 
   /// The library fingerprint (16 hex digits) this configuration answers
   /// under — a hash over everything that can change an answer (model
-  /// configuration, grid bit patterns, schema + API version, search mode).
+  /// configuration, grid bit patterns, schema + API version).
   /// Disk-cache segments and surrogate table files are both addressed by
   /// it; `precompute` stamps it into the tables it writes.
   const std::string& configuration_fingerprint() const;

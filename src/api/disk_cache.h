@@ -4,9 +4,9 @@
 // response) entries, content-addressed by the same canonical bit-pattern
 // request keys the in-memory batch dedup uses.  The segment is bound to one
 // library fingerprint — a hash over everything that can change an answer
-// (model configuration, grid bit patterns, schema + API version, search
-// mode) — so a run with a different configuration reads from, and writes
-// to, a different file instead of mixing results.
+// (model configuration, grid bit patterns, schema + API version) — so a
+// run with a different configuration reads from, and writes to, a
+// different file instead of mixing results.
 //
 // File layout (one directory may hold segments of many configurations):
 //

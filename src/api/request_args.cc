@@ -1,8 +1,10 @@
 #include "api/request_args.h"
 
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <string_view>
 
 #include "util/error.h"
 
@@ -55,7 +57,111 @@ Exactness exactness_flag(const CliArgs& args) {
                   it->second + "'");
 }
 
+/// True when `--key` appears in the help text as a whole flag token.
+bool documented_flag(const std::string& key) {
+  const std::string_view usage = cli_usage();
+  const std::string token = "--" + key;
+  for (auto pos = usage.find(token); pos != std::string_view::npos;
+       pos = usage.find(token, pos + 1)) {
+    const std::size_t end = pos + token.size();
+    const char next = end < usage.size() ? usage[end] : ' ';
+    if (!std::isalnum(static_cast<unsigned char>(next)) && next != '-') {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+const char* cli_usage() {
+  return
+      "usage:\n"
+      "  nanocache_cli list\n"
+      "  nanocache_cli cache --size <bytes> [--l2] [--vth V] [--tox A]\n"
+      "               [--assoc 1|2|4|8|full] [--banks N] [--node nm]\n"
+      "  nanocache_cli optimize --size <bytes> --scheme I|II|III "
+      "--delay-ps <ps>\n"
+      "               [--assoc 1|2|4|8|full] [--banks N] [--node nm]\n"
+      "               [--power-gating] [--perf-loss-budget F]\n"
+      "  nanocache_cli run fig1|schemes|l2|l2split|l1|fig2 "
+      "[--fitted] [--strict]\n"
+      "  nanocache_cli run schemes [--size <bytes>] [--steps N]\n"
+      "  nanocache_cli run l2|l2split|l1 [--amat-ps <ps>] [--node nm]\n"
+      "  nanocache_cli batch <requests.jsonl | -> \n"
+      "  nanocache_cli serve --listen <unix:/path/sock | tcp:host:port>\n"
+      "               [--max-line-bytes N] [--queue-capacity N]\n"
+      "  nanocache_cli capabilities\n"
+      "  nanocache_cli precompute --out <dir> [--l1-sizes a,b] "
+      "[--l2-sizes a,b]\n"
+      "               [--nodes 0,90,...] [--vth-steps N] [--tox-steps N]\n"
+      "               [--target-steps N] [--stamp TEXT]\n"
+      "  nanocache_cli frontier --size <bytes> [--l2] --scheme I|II|III\n"
+      "  nanocache_cli sensitivity --size <bytes> [--l2] [--vth V] "
+      "[--tox A]\n"
+      "  nanocache_cli variation --size <bytes> [--l2] [--vth V] [--tox A] "
+      "[--samples N]\n"
+      "  nanocache_cli export [--dir <directory>] [--fitted] [--strict]\n"
+      "flags:\n"
+      "  --fitted     drive experiments from the paper's fitted closed forms\n"
+      "  --strict     treat fitted-model degradation as a hard error\n"
+      "  --assoc 1|2|4|8|full  explicit set-associativity: engages the\n"
+      "               split-tag model (tag array + way comparators as fifth\n"
+      "               and sixth optimizable components)\n"
+      "  --banks N    multi-bank organization (power of two <= 8)\n"
+      "  --node nm    technology node: 90|65|45|32|22 (default: the 65 nm\n"
+      "               node the paper calibrates)\n"
+      "  --power-gating          let the optimizer park idle components in\n"
+      "               sleep states (leakage cut to a fraction)\n"
+      "  --perf-loss-budget F    relax the delay constraint by the fraction\n"
+      "               F in [0,1] to pay for sleep-state wake latency\n"
+      "  --cache-dir <dir>  persist results across runs (also the\n"
+      "               NANOCACHE_CACHE_DIR environment variable; the flag\n"
+      "               wins).  Segments are fingerprinted by configuration,\n"
+      "               so differently configured runs never share entries.\n"
+      "  --surrogate-dir <dir>  load precomputed answer tables and serve\n"
+      "               covered eval/optimize requests by interpolation (also\n"
+      "               the NANOCACHE_SURROGATE_DIR environment variable; the\n"
+      "               flag wins).  Uncovered requests fall back to the exact\n"
+      "               engine; see --exactness.\n"
+      "  --exactness exact|surrogate|auto  v4 routing for cache/optimize:\n"
+      "               'exact' always runs the exact engine, 'surrogate'\n"
+      "               errors unless a table covers the request, 'auto'\n"
+      "               (default) prefers tables and falls back\n"
+      "  --memo-shards N  lock-stripe shards of the in-process memo cache\n"
+      "               (power of two <= 4096; default 16; also the\n"
+      "               NANOCACHE_MEMO_SHARDS environment variable, the flag\n"
+      "               wins).  Purely a concurrency knob: results are\n"
+      "               byte-identical at any shard count.\n"
+      "  --threads N  worker threads for sweeps (default: hardware "
+      "concurrency;\n"
+      "               results are identical at any thread count).  The\n"
+      "               NANOCACHE_THREADS environment variable accepts 1-1024\n"
+      "               (capped at 64 workers); anything else is a config "
+      "error.\n"
+      "  --metrics <file|->  after the command finishes, write the process\n"
+      "               metrics snapshot (counters, histograms, phase timings,\n"
+      "               spans; docs/API.md) as JSON to <file>, or to stderr\n"
+      "               for '-'.  Never touches stdout: command output stays\n"
+      "               byte-identical with or without this flag.\n"
+      "batch: one JSON request per line (docs/API.md); one response line per\n"
+      "  request, in input order.  Per-request failures stay in-band as\n"
+      "  error responses; the process exits 0 unless the stream itself is\n"
+      "  unreadable.  Dedup/memoization stats go to stderr.\n"
+      "precompute: drive the exact engine over a refined knob lattice and a\n"
+      "  delay-target ladder and write surrogate answer tables (with\n"
+      "  certified per-answer error bounds) under --out, keyed by the\n"
+      "  service configuration's fingerprint.  A later run pointed at the\n"
+      "  same directory via --surrogate-dir picks them up automatically.\n"
+      "serve: speak the batch JSONL protocol over a socket, multiplexing\n"
+      "  concurrent clients onto one warm service (docs/API.md).  Responses\n"
+      "  per connection are byte-identical to batch output for the same\n"
+      "  lines.  SIGINT/SIGTERM drain in-flight requests, flush the disk\n"
+      "  cache, and exit 0.\n"
+      "exit codes (from the error taxonomy; scripts branch on these):\n"
+      "  0 ok    1 internal     2 config (malformed request/flags)\n"
+      "  3 io    4 numeric-domain or infeasible\n";
+}
 
 CliArgs parse_cli_args(int argc, const char* const* argv) {
   CliArgs a;
@@ -65,6 +171,8 @@ CliArgs parse_cli_args(int argc, const char* const* argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
       const std::string key = arg.substr(2);
+      NC_REQUIRE(documented_flag(key),
+                 "unknown flag '" + arg + "' (see nanocache_cli usage)");
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         a.flags[key] = argv[++i];
       } else {
@@ -131,17 +239,6 @@ ServiceConfig service_config_from_args(const CliArgs& args) {
     config.surrogate_dir = surrogate->second;
   } else if (const char* env = std::getenv("NANOCACHE_SURROGATE_DIR")) {
     config.surrogate_dir = env;
-  }
-
-  const auto search = args.flags.find("search");
-  if (search != args.flags.end()) {
-    if (search->second == "exhaustive") {
-      config.exhaustive_search = true;
-    } else {
-      NC_REQUIRE(search->second == "pruned",
-                 "--search expects 'pruned' or 'exhaustive', got '" +
-                     search->second + "'");
-    }
   }
 
   // Memo-cache lock striping: --memo-shards wins, then

@@ -22,7 +22,13 @@ struct CliArgs {
   std::map<std::string, std::string> flags;
 };
 
+/// Throws Error(kConfig) naming the first flag the help text (cli_usage)
+/// does not document, so a misspelt flag never falls back to a default.
 CliArgs parse_cli_args(int argc, const char* const* argv);
+
+/// The CLI help text.  Its `--flag` tokens are the set parse_cli_args
+/// accepts.
+const char* cli_usage();
 
 /// Typed flag accessors; throw Error(kConfig) for unparseable values.
 double flag_double(const CliArgs& args, const std::string& key,
@@ -35,7 +41,7 @@ bool flag_present(const CliArgs& args, const std::string& key);
 /// --cache-dir DIR (falling back to $NANOCACHE_CACHE_DIR; empty disables
 /// the persistent result cache), --surrogate-dir DIR (falling back to
 /// $NANOCACHE_SURROGATE_DIR; empty disables the surrogate serving tier)
-/// and --search pruned|exhaustive.
+/// and --memo-shards N (falling back to $NANOCACHE_MEMO_SHARDS).
 ServiceConfig service_config_from_args(const CliArgs& args);
 
 /// The --threads flag (0 = keep the pool default).  Throws Error(kConfig)

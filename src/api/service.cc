@@ -82,9 +82,7 @@ std::string key_double(double d) {
 
 /// Library fingerprint for the persistent disk cache: a hash over everything
 /// that can change an answer — model selection, degradation policy, default
-/// sizes, the exact grid bit patterns, schema/API version, and the search
-/// mode (byte-identical by contract, but a fingerprint mismatch costs only a
-/// cold segment while a collision could serve stale bits).
+/// sizes, the exact grid bit patterns and schema/API version.
 std::string service_fingerprint(const core::ExperimentConfig& config) {
   std::string s = "nanocache|schema=";
   s += std::to_string(kSchemaVersion);
@@ -101,8 +99,9 @@ std::string service_fingerprint(const core::ExperimentConfig& config) {
   s += std::to_string(config.l1_size_bytes);
   s += "|l2=";
   s += std::to_string(config.l2_size_bytes);
-  s += "|mode=";
-  s += opt::search_mode_name(config.search_mode);
+  // Constant since the exhaustive search left the runtime; kept so disk
+  // segments and surrogate tables written before then stay valid.
+  s += "|mode=pruned";
   s += "|vth=";
   for (const double v : config.grid.vth_values) {
     s += key_double(v);
@@ -437,8 +436,7 @@ struct Service::Impl {
                          : delay_s;
       return std::make_shared<const opt::OptOutcome<opt::SchemeResult>>(
           opt::optimize_single_cache(eval, ex.config().grid, to_scheme(scheme),
-                                     effective_delay_s, config.search_mode,
-                                     space));
+                                     effective_delay_s, space));
     });
   }
 
@@ -518,9 +516,6 @@ Outcome<std::shared_ptr<Service>> Service::create(ServiceConfig config) {
     if (!config.grid_tox_a.empty()) {
       experiment.grid.tox_values = config.grid_tox_a;
     }
-    experiment.search_mode = config.exhaustive_search
-                                 ? opt::SearchMode::kExhaustive
-                                 : opt::SearchMode::kPruned;
 
     auto service = std::shared_ptr<Service>(new Service());
     // The MemoCache constructor validates the shard count (power of two in
@@ -591,7 +586,7 @@ Outcome<CapabilitiesResponse> Service::capabilities(
     c.l1_size_bytes = impl_->config.l1_size_bytes;
     c.l2_size_bytes = impl_->config.l2_size_bytes;
     c.threads = par::default_threads();
-    c.search_mode = opt::search_mode_name(impl_->config.search_mode);
+    c.search_mode = "pruned";  // the only engine; kept for wire stability
     c.fitted_models = impl_->config.use_fitted_models;
     c.disk_cache = impl_->disk != nullptr;
     c.cache_dir = impl_->api_config.cache_dir;

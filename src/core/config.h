@@ -8,7 +8,6 @@
 
 #include "energy/memory_system.h"
 #include "opt/grid.h"
-#include "opt/search_mode.h"
 #include "sim/missmodel.h"
 #include "tech/params.h"
 
@@ -38,11 +37,6 @@ struct ExperimentConfig {
 
   opt::KnobGrid grid = opt::KnobGrid::paper_default();
   energy::MainMemoryParams memory{};
-
-  /// Assignment search engine for the single-cache optimizers.  Both modes
-  /// return byte-identical results (opt/search_mode.h); kExhaustive is the
-  /// reference oracle for differential testing and CI smokes.
-  opt::SearchMode search_mode = opt::SearchMode::kPruned;
 
   /// Technology the cache models are built in.  Replace for ablations
   /// (gate-leakage magnitude, temperature, area-scaling on/off, ...).

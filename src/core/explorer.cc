@@ -279,14 +279,12 @@ std::vector<SchemeComparisonRow> Explorer::scheme_comparison(
     const double target = delay_targets_s[i];
     SchemeComparisonRow row;
     row.delay_target_s = target;
-    row.scheme1 =
-        opt::optimize_single_cache(eval, config_.grid, Scheme::kPerComponent,
-                                   target, config_.search_mode);
-    row.scheme2 =
-        opt::optimize_single_cache(eval, config_.grid, Scheme::kArrayPeriphery,
-                                   target, config_.search_mode);
-    row.scheme3 = opt::optimize_single_cache(
-        eval, config_.grid, Scheme::kUniform, target, config_.search_mode);
+    row.scheme1 = opt::optimize_single_cache(eval, config_.grid,
+                                             Scheme::kPerComponent, target);
+    row.scheme2 = opt::optimize_single_cache(eval, config_.grid,
+                                             Scheme::kArrayPeriphery, target);
+    row.scheme3 = opt::optimize_single_cache(eval, config_.grid,
+                                             Scheme::kUniform, target);
     rows[i] = std::move(row);
   });
   return rows;
@@ -368,8 +366,8 @@ std::vector<SizeSweepRow> Explorer::l2_size_sweep(Scheme scheme,
       rows[i] = std::move(row);
       return;
     }
-    auto best = opt::optimize_single_cache(evals[i], config_.grid, scheme,
-                                           budget, config_.search_mode);
+    auto best =
+        opt::optimize_single_cache(evals[i], config_.grid, scheme, budget);
     if (!best) {
       row.infeasible_reason = best.why().describe();
       rows[i] = std::move(row);
@@ -399,10 +397,8 @@ std::vector<SizeSweepRow> Explorer::l1_size_sweep(double amat_target_s) const {
       l1_default.evaluate_uniform(config_.default_knobs).access_time_s;
   const double l2_budget =
       (amat_target_s - l1_time_default) / ml1_default - ml2 * tmem;
-  auto l2_fixed =
-      opt::optimize_single_cache(l2_eval, config_.grid,
-                                 Scheme::kArrayPeriphery, l2_budget,
-                                 config_.search_mode);
+  auto l2_fixed = opt::optimize_single_cache(
+      l2_eval, config_.grid, Scheme::kArrayPeriphery, l2_budget);
   NC_REQUIRE_FEASIBLE(l2_fixed.has_value(),
                       "AMAT target infeasible for the fixed L2 configuration: " +
                           (l2_fixed ? std::string() : l2_fixed.why().describe()));
@@ -427,10 +423,8 @@ std::vector<SizeSweepRow> Explorer::l1_size_sweep(double amat_target_s) const {
       rows[i] = std::move(row);
       return;
     }
-    auto best =
-        opt::optimize_single_cache(evals[i], config_.grid,
-                                   Scheme::kArrayPeriphery, budget,
-                                   config_.search_mode);
+    auto best = opt::optimize_single_cache(evals[i], config_.grid,
+                                           Scheme::kArrayPeriphery, budget);
     if (!best) {
       row.infeasible_reason = best.why().describe();
       rows[i] = std::move(row);

@@ -11,7 +11,6 @@ namespace nanocache::opt {
 
 using cachemodel::ComponentKind;
 using cachemodel::ComponentMetrics;
-using cachemodel::kAllComponents;
 
 namespace {
 
@@ -151,47 +150,6 @@ std::vector<ComponentOption> component_options(
       /*cost_hint_ns=*/kEvalCostHintNs);
 }
 
-std::vector<ComponentOption> periphery_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
-  count_grid_points(pairs.size());
-  static const std::vector<ComponentKind> kPeriphery{
-      ComponentKind::kDecoder, ComponentKind::kAddressDrivers,
-      ComponentKind::kDataDrivers};
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, kPeriphery, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i],
-                                    "periphery option delay",
-                                    "periphery option leakage",
-                                    "periphery option dynamic energy"));
-    }
-    return out;
-  }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        ComponentOption opt;
-        opt.knobs = k;
-        for (ComponentKind kind : kPeriphery) {
-          const auto m = eval(kind, k);
-          opt.delay_s +=
-              num::ensure_finite(m.delay_s, "periphery option delay");
-          opt.leakage_w +=
-              num::ensure_finite(m.leakage_w, "periphery option leakage");
-          opt.dynamic_j += num::ensure_finite(
-              m.dynamic_energy_j, "periphery option dynamic energy");
-        }
-        return opt;
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs * kPeriphery.size());
-}
-
 std::vector<ComponentOption> block_options(
     const ComponentEvaluator& eval,
     const std::vector<ComponentKind>& kinds,
@@ -252,14 +210,6 @@ OptSpace OptSpace::extended() {
   return s;
 }
 
-bool OptSpace::is_base() const {
-  return array_count == 1 && components.size() == cachemodel::kNumComponents &&
-         components[0] == ComponentKind::kCellArray &&
-         components[1] == ComponentKind::kDecoder &&
-         components[2] == ComponentKind::kAddressDrivers &&
-         components[3] == ComponentKind::kDataDrivers;
-}
-
 std::vector<ComponentOption> with_gating(std::vector<ComponentOption> options,
                                          const GatingSpec& gating) {
   if (!gating.enabled) return options;
@@ -311,53 +261,6 @@ std::vector<ComponentOption> space_block_options(
                  space.components.end());
   }
   return with_gating(block_options(eval, kinds, pairs), space.gating);
-}
-
-std::vector<ComponentOption> space_uniform_options(
-    const ComponentEvaluator& eval, const OptSpace& space,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  return with_gating(block_options(eval, space.components, pairs),
-                     space.gating);
-}
-
-std::vector<ComponentOption> uniform_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
-  count_grid_points(pairs.size());
-  static const std::vector<ComponentKind> kUniform(kAllComponents.begin(),
-                                                   kAllComponents.end());
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, kUniform, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i],
-                                    "uniform option delay",
-                                    "uniform option leakage",
-                                    "uniform option dynamic energy"));
-    }
-    return out;
-  }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        ComponentOption opt;
-        opt.knobs = k;
-        for (ComponentKind kind : kAllComponents) {
-          const auto m = eval(kind, k);
-          opt.delay_s +=
-              num::ensure_finite(m.delay_s, "uniform option delay");
-          opt.leakage_w +=
-              num::ensure_finite(m.leakage_w, "uniform option leakage");
-          opt.dynamic_j += num::ensure_finite(
-              m.dynamic_energy_j, "uniform option dynamic energy");
-        }
-        return opt;
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs * kAllComponents.size());
 }
 
 }  // namespace nanocache::opt

@@ -94,26 +94,26 @@ struct GatingSpec {
 /// components (base) or the six of a split-tag organization (extended),
 /// plus the power-gating axis.  The first `array_count` entries form the
 /// SRAM-array block that shares Scheme II's first knob pair; the rest are
-/// the periphery block.
+/// the periphery block.  Every space, the paper's included, is searched by
+/// the same engine (opt/pruned.h).
 struct OptSpace {
   std::vector<cachemodel::ComponentKind> components;
   std::size_t array_count = 1;
   GatingSpec gating;
 
-  /// The paper's fixed four-component space.  Optimizations over this
-  /// space (without gating) take the original code paths untouched.
+  /// The paper's four components: the cell array is the array block;
+  /// decoder and both driver groups are the periphery.
   static OptSpace base();
   /// All six components of a split-tag organization: cell + tag arrays in
   /// the array block; decoder, drivers, and comparators in the periphery.
   static OptSpace extended();
-
-  bool is_base() const;
 };
 
 /// Option tables for every component of a space, in space order, with
-/// sleep-state variants interleaved when gating is enabled.  Both search
-/// engines build their tables through this one function so every
-/// floating-point value they compare is formed identically.
+/// sleep-state variants interleaved when gating is enabled.  The pruned
+/// engine and the exhaustive reference share one table builder
+/// (opt::detail::scheme_tables), so every floating-point value they
+/// compare is formed identically.
 std::vector<std::vector<ComponentOption>> space_component_tables(
     const ComponentEvaluator& eval, const OptSpace& space,
     const std::vector<tech::DeviceKnobs>& pairs);
@@ -123,12 +123,6 @@ std::vector<std::vector<ComponentOption>> space_component_tables(
 /// included.
 std::vector<ComponentOption> space_block_options(
     const ComponentEvaluator& eval, const OptSpace& space, bool array_block,
-    const std::vector<tech::DeviceKnobs>& pairs);
-
-/// Scheme III uniform table over all of a space's components, gating
-/// variants included.
-std::vector<ComponentOption> space_uniform_options(
-    const ComponentEvaluator& eval, const OptSpace& space,
     const std::vector<tech::DeviceKnobs>& pairs);
 
 /// Interleave sleep-state variants into an option table: for each option,
@@ -148,17 +142,6 @@ std::vector<ComponentOption> component_options(
 std::vector<ComponentOption> block_options(
     const ComponentEvaluator& eval,
     const std::vector<cachemodel::ComponentKind>& kinds,
-    const std::vector<tech::DeviceKnobs>& pairs);
-
-/// Options for a "merged periphery" pseudo-component: decoder + address
-/// drivers + data drivers all at the same pair (Scheme II's second knob).
-std::vector<ComponentOption> periphery_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs);
-
-/// Options for the whole cache at a uniform pair (Scheme III).
-std::vector<ComponentOption> uniform_options(
-    const ComponentEvaluator& eval,
     const std::vector<tech::DeviceKnobs>& pairs);
 
 }  // namespace nanocache::opt

@@ -1,15 +1,14 @@
 // Single-cache leakage optimization (paper Section 4): minimize total
 // leakage subject to an access-time constraint, under the three Vth/Tox
 // assignment schemes.  All three are solved exactly over the discrete grid
-// (Scheme I via Pareto-filtered dynamic programming, which is exhaustive-
-// equivalent for monotone objectives).
+// by one dominance-pruned engine (opt/pruned.h) for every OptSpace;
+// optimize_exhaustive is the reference it is differentially tested against.
 #pragma once
 
 #include <string>
 
 #include "opt/options.h"
 #include "opt/outcome.h"
-#include "opt/search_mode.h"
 
 namespace nanocache::opt {
 
@@ -32,16 +31,22 @@ struct SchemeResult {
 /// Minimize leakage subject to access_time <= delay_constraint_s.
 /// When no grid assignment meets the constraint the outcome is infeasible
 /// and carries the violated constraint plus the fastest achievable time.
-/// Both search modes return byte-identical results (opt/pruned.h); the
-/// exhaustive mode is the differential-testing oracle.
+/// Throws Error(kConfig) unless delay_constraint_s > 0.
 ///
 /// `space` selects the component structure (and the power-gating axis);
-/// the default is the paper's fixed four-component space, which runs the
-/// original code paths untouched.
+/// the default is the paper's four-component space.
 OptOutcome<SchemeResult> optimize_single_cache(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
-    double delay_constraint_s, SearchMode mode = SearchMode::kPruned,
-    const OptSpace& space = OptSpace::base());
+    double delay_constraint_s, const OptSpace& space = OptSpace::base());
+
+/// Reference search for differential tests and benches: the same contract
+/// as optimize_single_cache, solved by comparing every candidate (Scheme
+/// I's Pareto-filtered DP front, the full nested product for Schemes II
+/// and III).  Byte-identical to the pruned engine and about an order of
+/// magnitude more combos; not used at runtime.
+OptOutcome<SchemeResult> optimize_exhaustive(
+    const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
+    double delay_constraint_s, const OptSpace& space = OptSpace::base());
 
 /// Fastest achievable access time under a scheme (the feasibility bound).
 double min_access_time(const ComponentEvaluator& eval, const KnobGrid& grid,
@@ -56,7 +61,6 @@ struct TradeoffPoint {
 std::vector<TradeoffPoint> leakage_delay_curve(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
     const std::vector<double>& delay_targets_s,
-    SearchMode mode = SearchMode::kPruned,
     const OptSpace& space = OptSpace::base());
 
 /// The full (access time, leakage) Pareto front of a cache under a scheme:

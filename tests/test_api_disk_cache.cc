@@ -253,17 +253,6 @@ TEST(ApiDiskCache, UnusableDirectoryIsATypedIoError) {
   fs::remove_all(dir);
 }
 
-TEST(ApiDiskCache, ExhaustiveSearchModeIsByteIdentical) {
-  // The differential oracle wired through the public config: both engines
-  // serve the same bytes (the pruned engine's correctness contract).
-  const auto workload = small_workload();
-  const auto pruned = make_service()->run_batch(workload);
-  ServiceConfig config;
-  config.exhaustive_search = true;
-  const auto exhaustive = make_service(std::move(config))->run_batch(workload);
-  EXPECT_EQ(serialized(pruned), serialized(exhaustive));
-}
-
 TEST(ApiV1Compat, V1RequestsNormalizeToV2AndAnswerIdentically) {
   // One golden per kind, in the v1 flat spelling.
   const std::vector<std::string> v1_lines = {

@@ -86,10 +86,10 @@ void run_differential(const ComponentEvaluator& eval, const KnobGrid& grid,
   for (const Scheme scheme :
        {Scheme::kPerComponent, Scheme::kArrayPeriphery, Scheme::kUniform}) {
     for (const double target : targets_around(eval, grid, scheme, space)) {
-      const auto pruned = optimize_single_cache(eval, grid, scheme, target,
-                                                SearchMode::kPruned, space);
-      const auto exhaustive = optimize_single_cache(
-          eval, grid, scheme, target, SearchMode::kExhaustive, space);
+      const auto pruned =
+          optimize_single_cache(eval, grid, scheme, target, space);
+      const auto exhaustive =
+          optimize_exhaustive(eval, grid, scheme, target, space);
       expect_identical(pruned, exhaustive,
                        label + " scheme=" + scheme_name(scheme) +
                            " target=" + std::to_string(target));
@@ -114,8 +114,7 @@ TEST(DesignSpaceSearch, PrunedMatchesExhaustiveAcrossTheSampledGrid) {
 
 TEST(DesignSpaceSearch, PrunedMatchesExhaustiveWithPowerGating) {
   // Gating doubles every option table; the dominance argument must still
-  // hold.  Covered on the base space (gating with the fixed organization
-  // routes through the generalized engine) and on an extended point.
+  // hold.  Covered on the base space and on an extended point.
   OptSpace gated_base = OptSpace::base();
   gated_base.gating.enabled = true;
   tech::DeviceModel dev(tech::bptm65());
@@ -161,10 +160,9 @@ TEST(DesignSpaceSearch, GatingNeverIncreasesOptimalLeakage) {
        {Scheme::kPerComponent, Scheme::kArrayPeriphery, Scheme::kUniform}) {
     for (const double target : targets_around(eval, grid, scheme,
                                               OptSpace::base())) {
-      const auto plain = optimize_single_cache(eval, grid, scheme, target,
-                                               SearchMode::kPruned);
-      const auto with_sleep = optimize_single_cache(
-          eval, grid, scheme, target, SearchMode::kPruned, gated);
+      const auto plain = optimize_single_cache(eval, grid, scheme, target);
+      const auto with_sleep =
+          optimize_single_cache(eval, grid, scheme, target, gated);
       if (!plain.has_value()) continue;
       ASSERT_TRUE(with_sleep.has_value());
       EXPECT_LE(with_sleep->leakage_w, plain->leakage_w)

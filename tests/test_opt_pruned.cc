@@ -1,7 +1,7 @@
 // Differential tests for the dominance-pruned search engine: byte-identical
 // results (values, assignments, infeasibility diagnostics) against the
-// exhaustive reference at every thread count, plus the >= 5x search-effort
-// reduction the pruning exists for.
+// exhaustive reference (opt::optimize_exhaustive) at every thread count,
+// plus the >= 5x search-effort reduction the pruning exists for.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -63,10 +63,8 @@ void run_differential(const ComponentEvaluator& eval, const KnobGrid& grid,
   for (const Scheme scheme :
        {Scheme::kPerComponent, Scheme::kArrayPeriphery, Scheme::kUniform}) {
     for (const double target : constraint_ladder()) {
-      const auto pruned = optimize_single_cache(eval, grid, scheme, target,
-                                                SearchMode::kPruned);
-      const auto exhaustive = optimize_single_cache(
-          eval, grid, scheme, target, SearchMode::kExhaustive);
+      const auto pruned = optimize_single_cache(eval, grid, scheme, target);
+      const auto exhaustive = optimize_exhaustive(eval, grid, scheme, target);
       expect_identical(pruned, exhaustive,
                        label + " scheme=" + scheme_name(scheme) +
                            " target=" + std::to_string(target));
@@ -105,17 +103,22 @@ TEST(PrunedSearch, CurveMatchesExhaustive) {
   const auto eval = structural_evaluator(cache16k());
   const auto grid = KnobGrid::paper_default();
   const auto targets = constraint_ladder();
-  const auto pruned = leakage_delay_curve(eval, grid, Scheme::kPerComponent,
-                                          targets, SearchMode::kPruned);
-  const auto exhaustive = leakage_delay_curve(
-      eval, grid, Scheme::kPerComponent, targets, SearchMode::kExhaustive);
-  ASSERT_EQ(pruned.size(), exhaustive.size());
-  for (std::size_t i = 0; i < pruned.size(); ++i) {
-    EXPECT_EQ(pruned[i].delay_constraint_s, exhaustive[i].delay_constraint_s);
-    expect_identical(OptOutcome<SchemeResult>(pruned[i].result),
-                     OptOutcome<SchemeResult>(exhaustive[i].result),
-                     "curve point " + std::to_string(i));
+  const auto curve =
+      leakage_delay_curve(eval, grid, Scheme::kPerComponent, targets);
+  // The curve keeps exactly the targets the oracle finds feasible, in
+  // target order, each with the oracle's optimum.
+  std::size_t next = 0;
+  for (const double target : targets) {
+    const auto exhaustive =
+        optimize_exhaustive(eval, grid, Scheme::kPerComponent, target);
+    if (!exhaustive) continue;
+    ASSERT_LT(next, curve.size()) << "target=" << target;
+    EXPECT_EQ(curve[next].delay_constraint_s, target);
+    expect_identical(OptOutcome<SchemeResult>(curve[next].result), exhaustive,
+                     "curve target " + std::to_string(target));
+    ++next;
   }
+  EXPECT_EQ(next, curve.size());
 }
 
 TEST(PrunedSearch, SchemeOneEvaluatesAtLeastFiveTimesFewerCombos) {
@@ -123,16 +126,15 @@ TEST(PrunedSearch, SchemeOneEvaluatesAtLeastFiveTimesFewerCombos) {
   const auto grid = KnobGrid::paper_default();
   auto& evaluated =
       metrics::Registry::instance().counter("opt.combos_evaluated");
-  const auto measure = [&](SearchMode mode) {
+  const auto measure = [&](const auto& search) {
     const std::uint64_t before = evaluated.value();
     for (const double target : constraint_ladder()) {
-      (void)optimize_single_cache(eval, grid, Scheme::kPerComponent, target,
-                                  mode);
+      (void)search(eval, grid, Scheme::kPerComponent, target, OptSpace::base());
     }
     return evaluated.value() - before;
   };
-  const std::uint64_t exhaustive = measure(SearchMode::kExhaustive);
-  const std::uint64_t pruned = measure(SearchMode::kPruned);
+  const std::uint64_t exhaustive = measure(optimize_exhaustive);
+  const std::uint64_t pruned = measure(optimize_single_cache);
   ASSERT_GT(pruned, 0u);
   EXPECT_GE(exhaustive, 5 * pruned)
       << "exhaustive=" << exhaustive << " pruned=" << pruned;
@@ -143,8 +145,7 @@ TEST(PrunedSearch, SkippedCounterTracksAvoidedWork) {
   auto& skipped = metrics::Registry::instance().counter("opt.combos_skipped");
   const std::uint64_t before = skipped.value();
   (void)optimize_single_cache(eval, KnobGrid::paper_default(),
-                              Scheme::kPerComponent, 1.4e-9,
-                              SearchMode::kPruned);
+                              Scheme::kPerComponent, 1.4e-9);
   EXPECT_GT(skipped.value(), before);
 }
 

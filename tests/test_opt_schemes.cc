@@ -7,7 +7,12 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "cachemodel/organization.h"
+#include "opt/pruned.h"
 #include "opt/schemes.h"
 #include "util/error.h"
 
@@ -233,10 +238,81 @@ TEST(LeakageDelayCurve, SkipsInfeasibleTargets) {
   EXPECT_GE(curve[0].result.leakage_w, curve[1].result.leakage_w);
 }
 
+TEST(SchemeOptimizer, BlockSchemesFillEverySlotByOneRule) {
+  // Scheme II gives the tag array the array pair and the comparators the
+  // periphery pair; Scheme III gives all six slots the one pair — on the
+  // paper's space, with gating, and on the split-tag space alike.
+  tech::DeviceModel dev(tech::bptm65());
+  const CacheModel split_tag(
+      cachemodel::extended_organization(16 * 1024, false, 4, 1, dev),
+      tech::DeviceModel(dev.params()));
+  OptSpace gated_base = OptSpace::base();
+  gated_base.gating.enabled = true;
+  const std::vector<std::pair<const CacheModel*, OptSpace>> cases = {
+      {&cache16k(), OptSpace::base()},
+      {&cache16k(), gated_base},
+      {&split_tag, OptSpace::extended()},
+  };
+  const auto grid = KnobGrid::paper_default();
+  for (const auto& [model, space] : cases) {
+    const auto eval = structural_evaluator(*model);
+    for (const Scheme scheme : {Scheme::kArrayPeriphery, Scheme::kUniform}) {
+      const double target = 1.3 * min_access_time(eval, grid, scheme, space);
+      for (const auto& r :
+           {optimize_single_cache(eval, grid, scheme, target, space),
+            optimize_exhaustive(eval, grid, scheme, target, space)}) {
+        ASSERT_TRUE(r.has_value());
+        const auto& a = r->assignment;
+        const std::string context = scheme_name(scheme) + " over " +
+                                    std::to_string(space.components.size()) +
+                                    " components, gating " +
+                                    (space.gating.enabled ? "on" : "off");
+        EXPECT_EQ(a.get(ComponentKind::kTagArray), a.array()) << context;
+        EXPECT_EQ(a.get(ComponentKind::kWayComparators),
+                  a.get(ComponentKind::kDecoder))
+            << context;
+        if (scheme == Scheme::kUniform) {
+          for (const auto kind : cachemodel::kExtendedComponents) {
+            EXPECT_EQ(a.get(kind), a.array()) << context;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SchemeOptimizer, RejectsNonPositiveOrNaNTarget) {
+  // The engine itself validates the target, so no entry point can turn a
+  // NaN (every comparison false) into a "feasible" minimum-leakage answer.
+  const auto eval = structural_evaluator(cache16k());
+  const auto grid = small_grid();
+  for (const double target :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    for (const Scheme scheme :
+         {Scheme::kPerComponent, Scheme::kArrayPeriphery, Scheme::kUniform}) {
+      const auto expect_config = [&](const auto& search) {
+        try {
+          (void)search(eval, grid, scheme, target, OptSpace::base());
+          ADD_FAILURE() << "accepted target " << target;
+        } catch (const Error& e) {
+          EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+        }
+      };
+      expect_config(optimize_single_cache);
+      expect_config(optimize_single_cache_pruned);
+      expect_config(optimize_exhaustive);
+    }
+  }
+}
+
 TEST(Options, PeripheryIsSumOfThreeComponents) {
   const auto eval = structural_evaluator(cache16k());
   const auto pairs = small_grid().pairs();
-  const auto periph = periphery_options(eval, pairs);
+  const auto periph = block_options(
+      eval,
+      {ComponentKind::kDecoder, ComponentKind::kAddressDrivers,
+       ComponentKind::kDataDrivers},
+      pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     double delay = 0.0;
     double leak = 0.0;
@@ -255,7 +331,8 @@ TEST(Options, PeripheryIsSumOfThreeComponents) {
 TEST(Options, UniformIsSumOfAllFour) {
   const auto eval = structural_evaluator(cache16k());
   const auto pairs = small_grid().pairs();
-  const auto uni = uniform_options(eval, pairs);
+  const auto uni = block_options(
+      eval, {kAllComponents.begin(), kAllComponents.end()}, pairs);
   const auto m = cache16k().evaluate_uniform(pairs[0]);
   EXPECT_NEAR(uni[0].delay_s, m.access_time_s, m.access_time_s * 1e-12);
   EXPECT_NEAR(uni[0].leakage_w, m.leakage_w, m.leakage_w * 1e-12);
