@@ -36,9 +36,9 @@ int main() {
     // Figure 2 restricted-menu comparison at a loose target.
     const auto system = explorer.default_system();
     const opt::TupleMenuSolver solver(system, cfg.grid);
-    const double loose = solver.min_amat_s({2, 2}) * 1.5;
-    const auto e12 = solver.best_at({1, 2}, loose);
-    const auto e21 = solver.best_at({2, 1}, loose);
+    const double loose = solver.solve({2, 2}).min_amat_s() * 1.5;
+    const auto e12 = solver.solve({1, 2}).best_at(loose);
+    const auto e21 = solver.solve({2, 1}).best_at(loose);
 
     t.add_row({fmt_fixed(jg_ua, 0), fmt_fixed(tox_gap, 1) + "x",
                fmt_fixed(vth_gap, 1) + "x",

@@ -129,16 +129,16 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-void BM_TupleMenuBestAt(benchmark::State& state) {
+void BM_TupleMenuSolve(benchmark::State& state) {
   static core::Explorer explorer;
   const auto system = explorer.default_system();
   const opt::TupleMenuSolver solver(system, explorer.config().grid);
   const opt::MenuSpec spec{2, 2};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.best_at(spec, 1.7e-9));
+    benchmark::DoNotOptimize(solver.solve(spec).best_at(1.7e-9));
   }
 }
-BENCHMARK(BM_TupleMenuBestAt)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TupleMenuSolve)->Unit(benchmark::kMillisecond);
 
 void BM_ContinuousOptimizer(benchmark::State& state) {
   static const auto fits =
@@ -228,7 +228,7 @@ std::shared_ptr<api::Service> fresh_service() {
 /// level dedup), per-target optimizations, and a scheme sweep over the SAME
 /// delay targets (sub-evaluation memo hits: the sweep's cells land on the
 /// optimize requests' "opt|" entries), plus two overlapping tuple-menu
-/// queries (shared "menu|" entries).
+/// queries (one shared "menu|" front).
 std::vector<api::Request> batch_workload() {
   std::vector<api::Request> requests;
   int next_id = 0;
@@ -271,7 +271,7 @@ std::vector<api::Request> batch_workload() {
     push(std::move(r));
   }
 
-  // 2 tuple-menu queries sharing the 1700 pS design ("menu|" memo hit).
+  // 2 tuple-menu queries on the same spec ("menu|" memo hit).
   {
     api::Request r;
     r.kind = api::RequestKind::kTupleMenu;

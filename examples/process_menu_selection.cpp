@@ -16,7 +16,7 @@ int main() {
   const auto system = explorer.default_system();
   const opt::TupleMenuSolver solver(system, explorer.config().grid);
 
-  const double target = solver.min_amat_s({3, 3}) * 1.4;
+  const double target = solver.solve({3, 3}).min_amat_s() * 1.4;
   std::cout << "performance requirement: AMAT <= "
             << fmt_fixed(units::seconds_to_ps(target), 0) << " pS\n\n";
 
@@ -31,7 +31,7 @@ int main() {
   for (const auto spec : {opt::MenuSpec{1, 1}, opt::MenuSpec{1, 2},
                           opt::MenuSpec{2, 1}, opt::MenuSpec{2, 2},
                           opt::MenuSpec{2, 3}, opt::MenuSpec{3, 2}}) {
-    rows.push_back({spec, solver.best_at(spec, target)});
+    rows.push_back({spec, solver.solve(spec).best_at(target)});
   }
   for (const auto& r : rows) {
     std::string toxes = "-";

@@ -73,12 +73,6 @@ struct ServiceConfig {
   /// (never a wrong answer), while a path that exists but is not a
   /// directory is a typed kIo error from Service::create.
   std::string surrogate_dir;
-
-  /// Lock-stripe shard count of the in-process memoization cache (0 = the
-  /// library default, currently 16).  Must be a power of two in [1, 4096];
-  /// Service::create returns a kConfig error otherwise.  Purely a
-  /// concurrency knob: results are byte-identical at any shard count.
-  std::size_t memo_shards = 0;
 };
 
 /// Running counters of the service's sub-evaluation memoization cache.

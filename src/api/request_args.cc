@@ -128,11 +128,6 @@ const char* cli_usage() {
       "               'exact' always runs the exact engine, 'surrogate'\n"
       "               errors unless a table covers the request, 'auto'\n"
       "               (default) prefers tables and falls back\n"
-      "  --memo-shards N  lock-stripe shards of the in-process memo cache\n"
-      "               (power of two <= 4096; default 16; also the\n"
-      "               NANOCACHE_MEMO_SHARDS environment variable, the flag\n"
-      "               wins).  Purely a concurrency knob: results are\n"
-      "               byte-identical at any shard count.\n"
       "  --threads N  worker threads for sweeps (default: hardware "
       "concurrency;\n"
       "               results are identical at any thread count).  The\n"
@@ -239,23 +234,6 @@ ServiceConfig service_config_from_args(const CliArgs& args) {
     config.surrogate_dir = surrogate->second;
   } else if (const char* env = std::getenv("NANOCACHE_SURROGATE_DIR")) {
     config.surrogate_dir = env;
-  }
-
-  // Memo-cache lock striping: --memo-shards wins, then
-  // NANOCACHE_MEMO_SHARDS; 0 keeps the library default.  Range/power-of-two
-  // validation happens in Service::create so both spellings share it.
-  config.memo_shards =
-      static_cast<std::size_t>(flag_uint(args, "memo-shards", 0));
-  if (config.memo_shards == 0) {
-    if (const char* env = std::getenv("NANOCACHE_MEMO_SHARDS")) {
-      try {
-        config.memo_shards = static_cast<std::size_t>(std::stoull(env));
-      } catch (const std::exception&) {
-        throw Error(ErrorCategory::kConfig,
-                    "NANOCACHE_MEMO_SHARDS expects a non-negative integer, "
-                    "got '" + std::string(env) + "'");
-      }
-    }
   }
   return config;
 }

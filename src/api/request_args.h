@@ -40,8 +40,7 @@ bool flag_present(const CliArgs& args, const std::string& key);
 /// Service configuration from the shared flags: --fitted, --strict,
 /// --cache-dir DIR (falling back to $NANOCACHE_CACHE_DIR; empty disables
 /// the persistent result cache), --surrogate-dir DIR (falling back to
-/// $NANOCACHE_SURROGATE_DIR; empty disables the surrogate serving tier)
-/// and --memo-shards N (falling back to $NANOCACHE_MEMO_SHARDS).
+/// $NANOCACHE_SURROGATE_DIR; empty disables the surrogate serving tier).
 ServiceConfig service_config_from_args(const CliArgs& args);
 
 /// The --threads flag (0 = keep the pool default).  Throws Error(kConfig)

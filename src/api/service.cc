@@ -271,8 +271,6 @@ constexpr std::uint64_t kSchemesRowCostHintNs = 3'000'000;
 }  // namespace
 
 struct Service::Impl {
-  explicit Impl(std::size_t memo_shards) : memo(memo_shards) {}
-
   ServiceConfig api_config;
   core::ExperimentConfig config;
   /// The library fingerprint of this configuration (names disk-cache and
@@ -462,21 +460,19 @@ struct Service::Impl {
     });
   }
 
-  /// Memoized tuple-problem solutions ("menu*|" entries).
-  std::shared_ptr<const std::optional<opt::SystemDesignPoint>> menu_best_memo(
-      const opt::TupleMenuSolver& solver, const opt::MenuSpec& spec,
-      double target_s) const {
+  /// Memoized tuple-problem solution, one per menu spec ("menu|" entries):
+  /// every target and frontier of the spec is read off the one front.
+  std::shared_ptr<const opt::MenuFront> menu_front_memo(
+      const opt::MenuSpec& spec) const {
     std::string key = "menu|";
     key += std::to_string(spec.num_tox);
     key += '|';
     key += std::to_string(spec.num_vth);
-    key += '|';
-    key += key_double(target_s);
-    return memo.get_or_compute<std::optional<opt::SystemDesignPoint>>(
-        key, [&] {
-          return std::make_shared<const std::optional<opt::SystemDesignPoint>>(
-              solver.best_at(spec, target_s));
-        });
+    return memo.get_or_compute<opt::MenuFront>(key, [&] {
+      const auto system = explorer->default_system();
+      const opt::TupleMenuSolver solver(system, config.grid);
+      return std::make_shared<const opt::MenuFront>(solver.solve(spec));
+    });
   }
 };
 
@@ -518,9 +514,7 @@ Outcome<std::shared_ptr<Service>> Service::create(ServiceConfig config) {
     }
 
     auto service = std::shared_ptr<Service>(new Service());
-    // The MemoCache constructor validates the shard count (power of two in
-    // [1, 4096]) and throws the typed kConfig error guarded() folds.
-    service->impl_ = std::make_unique<Impl>(config.memo_shards);
+    service->impl_ = std::make_unique<Impl>();
     service->impl_->api_config = std::move(config);
     service->impl_->config = std::move(experiment);
     service->impl_->explorer =
@@ -745,13 +739,13 @@ Outcome<TupleMenuResponse> Service::tuple_menu(
     NC_REQUIRE(request.num_vth >= 1 &&
                    request.num_vth <= static_cast<int>(grid.vth_values.size()),
                "num_vth must be between 1 and the grid's Vth count");
-    NC_REQUIRE(!request.include_frontier || request.frontier_max_points > 0,
-               "frontier_max_points must be positive");
+    // A thinned frontier always keeps both endpoints, so a cap below two
+    // cannot be honoured.
+    NC_REQUIRE(!request.include_frontier || request.frontier_max_points >= 2,
+               "frontier_max_points must be at least 2");
 
     metrics::TraceSpan span("api.tuple_menu");
     const opt::MenuSpec spec{request.num_tox, request.num_vth};
-    const auto system = impl_->explorer->default_system();
-    const opt::TupleMenuSolver solver(system, grid);
 
     TupleMenuResponse r;
     r.num_tox = spec.num_tox;
@@ -768,19 +762,12 @@ Outcome<TupleMenuResponse> Service::tuple_menu(
       targets_s = impl_->config.amat_targets_s();
     }
 
-    const auto min_amat = impl_->memo.get_or_compute<double>(
-        "menumin|" + std::to_string(spec.num_tox) + "|" +
-            std::to_string(spec.num_vth),
-        [&] { return std::make_shared<const double>(solver.min_amat_s(spec)); });
-    r.min_amat_ps = units::seconds_to_ps(*min_amat);
-
-    // Targets run serially: best_at fans its menu enumeration out over the
-    // pool already (parallelizing both layers would collapse the inner one).
+    const auto front = impl_->menu_front_memo(spec);
+    r.min_amat_ps = units::seconds_to_ps(front->min_amat_s());
     for (const double target_s : targets_s) {
-      const auto best = impl_->menu_best_memo(solver, spec, target_s);
-      if (*best) {
+      if (const auto best = front->best_at(target_s)) {
         r.targets.push_back(
-            to_menu_design(**best, units::seconds_to_ps(target_s)));
+            to_menu_design(*best, units::seconds_to_ps(target_s)));
       } else {
         MenuDesign d;
         d.amat_target_ps = units::seconds_to_ps(target_s);
@@ -789,18 +776,8 @@ Outcome<TupleMenuResponse> Service::tuple_menu(
     }
 
     if (request.include_frontier) {
-      std::string key = "menufront|" + std::to_string(spec.num_tox) + "|" +
-                        std::to_string(spec.num_vth) + "|" +
-                        std::to_string(request.frontier_max_points);
-      const auto frontier =
-          impl_->memo.get_or_compute<std::vector<opt::SystemDesignPoint>>(
-              key, [&] {
-                return std::make_shared<
-                    const std::vector<opt::SystemDesignPoint>>(solver.frontier(
-                    spec,
-                    static_cast<std::size_t>(request.frontier_max_points)));
-              });
-      for (const auto& point : *frontier) {
+      for (const auto& point : front->frontier(
+               static_cast<std::size_t>(request.frontier_max_points))) {
         r.frontier.push_back(to_menu_design(point, 0.0));
       }
     }

@@ -526,34 +526,18 @@ std::vector<Fig2Series> Explorer::fig2_tuple_frontiers(
   metrics::TraceSpan span("explorer.fig2_tuple_frontiers");
   const auto system = default_system();
   const opt::TupleMenuSolver solver(system, config_.grid);
-  // Specs run serially; each frontier fans its menu enumeration out over
-  // the pool (parallelizing both layers would just collapse the inner one).
+  // Specs run serially, one solve each; a solve fans its menus out over
+  // the pool, and the per-menu DPs are the units of parallel work
+  // (parallelizing the spec layer too would just collapse the inner one).
   std::vector<Fig2Series> out;
   for (const auto& spec : specs) {
     Fig2Series s;
     s.spec = spec;
     s.label = menu_label(spec);
-    s.points = solver.frontier(spec);
+    s.points = solver.solve(spec).frontier();
     out.push_back(std::move(s));
   }
   return out;
-}
-
-std::vector<std::vector<std::optional<opt::SystemDesignPoint>>>
-Explorer::fig2_tuple_table(const std::vector<opt::MenuSpec>& specs,
-                           const std::vector<double>& amat_targets_s) const {
-  metrics::TraceSpan span("explorer.fig2_tuple_table");
-  const auto system = default_system();
-  const opt::TupleMenuSolver solver(system, config_.grid);
-  std::vector<std::vector<std::optional<opt::SystemDesignPoint>>> table;
-  for (const auto& spec : specs) {
-    std::vector<std::optional<opt::SystemDesignPoint>> row;
-    for (double target : amat_targets_s) {
-      row.push_back(solver.best_at(spec, target));
-    }
-    table.push_back(std::move(row));
-  }
-  return table;
 }
 
 }  // namespace nanocache::core

@@ -1,7 +1,9 @@
 #include "opt/tuple_menu.h"
 
+#include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 
 #include "opt/pareto.h"
 #include "opt/pruned.h"
@@ -54,7 +56,63 @@ std::vector<ComponentOption> prefilter_options(
   return kept;
 }
 
+/// The weak (AMAT, energy) front of `designs`, in input order: a design is
+/// kept iff no design before it in the stable (AMAT, energy, input) order
+/// has strictly lower energy (docs/MODELING.md §10a).
+std::vector<SystemDesignPoint> weak_front(
+    std::vector<SystemDesignPoint> designs) {
+  std::vector<std::size_t> order(designs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const auto& x = designs[a];
+                     const auto& y = designs[b];
+                     if (x.amat_s != y.amat_s) return x.amat_s < y.amat_s;
+                     return x.energy_j < y.energy_j;
+                   });
+  std::vector<bool> keep(designs.size(), false);
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (const std::size_t i : order) {
+    if (designs[i].energy_j <= best_energy) {
+      best_energy = designs[i].energy_j;
+      keep[i] = true;
+    }
+  }
+  std::vector<SystemDesignPoint> kept;
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    if (keep[i]) kept.push_back(std::move(designs[i]));
+  }
+  return kept;
+}
+
 }  // namespace
+
+double MenuFront::min_amat_s() const {
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& d : designs_) best = std::min(best, d.amat_s);
+  return best;
+}
+
+std::optional<SystemDesignPoint> MenuFront::best_at(
+    double amat_target_s) const {
+  NC_REQUIRE(amat_target_s > 0.0, "AMAT target must be positive");
+  const SystemDesignPoint* best = nullptr;
+  for (const auto& d : designs_) {
+    if (d.amat_s > amat_target_s) continue;
+    if (best == nullptr || d.energy_j < best->energy_j) best = &d;
+  }
+  if (best == nullptr) return std::nullopt;
+  return *best;
+}
+
+std::vector<SystemDesignPoint> MenuFront::frontier(
+    std::size_t max_points) const {
+  auto front = pareto_min2(
+      designs_, [](const SystemDesignPoint& d) { return d.amat_s; },
+      [](const SystemDesignPoint& d) { return d.energy_j; });
+  thin_to(front, max_points);
+  return front;
+}
 
 TupleMenuSolver::TupleMenuSolver(const energy::MemorySystemModel& system,
                                  KnobGrid grid)
@@ -62,7 +120,7 @@ TupleMenuSolver::TupleMenuSolver(const energy::MemorySystemModel& system,
   grid_.validate();
 }
 
-std::vector<SystemDesignPoint> TupleMenuSolver::designs_for_menu(
+std::vector<SystemDesignPoint> TupleMenuSolver::menu_front(
     const std::vector<double>& vth_menu,
     const std::vector<double>& tox_menu) const {
   const auto pairs = menu_pairs(vth_menu, tox_menu);
@@ -121,7 +179,12 @@ std::vector<SystemDesignPoint> TupleMenuSolver::designs_for_menu(
     combos = std::move(next);
   }
 
-  // Materialize design points: energy uses the achieved AMAT.
+  static auto& designs_formed =
+      metrics::Registry::instance().counter("opt.designs_considered");
+  designs_formed.add(combos.size());
+
+  // Design points (energy uses the achieved AMAT), reduced to the menu's
+  // weak front before the menus — the only heap members — are attached.
   const double mem_amat = system_.memory_amat_term_s();
   const double mem_dyn = system_.memory_dynamic_energy_j();
   const double mem_background = system_.memory().background_power_w;
@@ -137,70 +200,42 @@ std::vector<SystemDesignPoint> TupleMenuSolver::designs_for_menu(
       d.l2.set(static_cast<ComponentKind>(i),
                options[kNumComponents + i][c.choice[kNumComponents + i]].knobs);
     }
+    designs.push_back(std::move(d));
+  }
+  designs = weak_front(std::move(designs));
+  for (auto& d : designs) {
     d.tox_menu = tox_menu;
     d.vth_menu = vth_menu;
-    designs.push_back(std::move(d));
   }
   return designs;
 }
 
-std::vector<SystemDesignPoint> TupleMenuSolver::all_designs(
-    const MenuSpec& spec) const {
+MenuFront TupleMenuSolver::solve(const MenuSpec& spec) const {
   NC_REQUIRE(spec.num_tox >= 1 && spec.num_vth >= 1,
              "menu cardinalities must be >= 1");
   const auto tox_menus = choose_subsets(grid_.tox_values, spec.num_tox);
   const auto vth_menus = choose_subsets(grid_.vth_values, spec.num_vth);
   // The menu enumeration is the hot axis of the Figure 2 sweep: every menu
-  // runs an independent Pareto-DP, so fan the (tox, vth) menu cross
-  // product over the pool and concatenate per-menu results in enumeration
-  // order — identical output at any thread count.
+  // runs an independent Pareto-DP and weak-front reduction, so fan the
+  // (tox, vth) menu cross product over the pool and concatenate per-menu
+  // fronts in enumeration order — identical output at any thread count.
   const std::size_t nv = vth_menus.size();
-  metrics::TraceSpan span("opt.tuple_menu.all_designs");
+  metrics::TraceSpan span("opt.tuple_menu.solve");
   static auto& menus =
       metrics::Registry::instance().counter("opt.menus_enumerated");
   menus.add(tox_menus.size() * nv);
   auto per_menu = par::parallel_map(
       tox_menus.size() * nv, [&](std::size_t i) {
-        return designs_for_menu(vth_menus[i % nv], tox_menus[i / nv]);
+        return menu_front(vth_menus[i % nv], tox_menus[i / nv]);
       });
   std::vector<SystemDesignPoint> all;
   for (auto& designs : per_menu) {
     all.insert(all.end(), std::make_move_iterator(designs.begin()),
                std::make_move_iterator(designs.end()));
   }
-  static auto& designs_considered =
-      metrics::Registry::instance().counter("opt.designs_considered");
-  designs_considered.add(all.size());
-  return all;
-}
-
-std::vector<SystemDesignPoint> TupleMenuSolver::frontier(
-    const MenuSpec& spec, std::size_t max_points) const {
-  auto all = all_designs(spec);
-  auto front = pareto_min2(
-      std::move(all), [](const SystemDesignPoint& d) { return d.amat_s; },
-      [](const SystemDesignPoint& d) { return d.energy_j; });
-  thin_to(front, max_points);
-  return front;
-}
-
-std::optional<SystemDesignPoint> TupleMenuSolver::best_at(
-    const MenuSpec& spec, double amat_target_s) const {
-  NC_REQUIRE(amat_target_s > 0.0, "AMAT target must be positive");
-  std::optional<SystemDesignPoint> best;
-  for (auto& d : all_designs(spec)) {
-    if (d.amat_s > amat_target_s) continue;
-    if (!best || d.energy_j < best->energy_j) best = std::move(d);
-  }
-  return best;
-}
-
-double TupleMenuSolver::min_amat_s(const MenuSpec& spec) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& d : all_designs(spec)) {
-    best = std::min(best, d.amat_s);
-  }
-  return best;
+  // A design beaten within its own menu is beaten globally, so the global
+  // weak front is the weak front of the concatenated per-menu fronts.
+  return MenuFront(weak_front(std::move(all)));
 }
 
 }  // namespace nanocache::opt

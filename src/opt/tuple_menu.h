@@ -7,6 +7,16 @@
 // Solved exactly per menu by Pareto-filtered DP over
 // (AMAT-weighted delay, leakage, weighted dynamic energy); menus are
 // enumerated exhaustively over grid subsets.
+//
+// One `solve` per spec enumerates every menu once and keeps only the weak
+// (AMAT, energy) front of all designs: a design survives iff no design
+// sorting before it in the stable (AMAT, energy, enumeration) order has
+// strictly lower energy.  Each menu is reduced to its own weak front
+// inside its parallel task, and the concatenated per-menu fronts are
+// reduced once more.  The minimum AMAT, the first-enumerated minimum-energy
+// design at any target and the Pareto frontier all lie on that set, so
+// `MenuFront` answers every query exactly as a scan over all designs would
+// (docs/MODELING.md §10a).
 #pragma once
 
 #include <optional>
@@ -34,29 +44,42 @@ struct SystemDesignPoint {
   std::vector<double> vth_menu;
 };
 
+/// The weak (AMAT, energy) front of every design a menu spec admits, in
+/// enumeration order, and the three queries answered from it.
+class MenuFront {
+ public:
+  explicit MenuFront(std::vector<SystemDesignPoint> designs)
+      : designs_(std::move(designs)) {}
+
+  /// Fastest achievable AMAT for the spec (feasibility bound).
+  double min_amat_s() const;
+
+  /// Minimum-energy design meeting `amat_target_s` (the first enumerated
+  /// on ties); nullopt if infeasible.
+  std::optional<SystemDesignPoint> best_at(double amat_target_s) const;
+
+  /// Energy/AMAT Pareto frontier (best menu chosen per point), thinned to
+  /// at most `max_points` when `max_points` >= 2.
+  std::vector<SystemDesignPoint> frontier(std::size_t max_points = 96) const;
+
+ private:
+  std::vector<SystemDesignPoint> designs_;
+};
+
 class TupleMenuSolver {
  public:
   /// `system` supplies the two cache models and the miss statistics;
   /// evaluators default to the structural models of each level.
   TupleMenuSolver(const energy::MemorySystemModel& system, KnobGrid grid);
 
-  /// Energy/AMAT Pareto frontier achievable with menus of the given
-  /// cardinality (best menu chosen per point).
-  std::vector<SystemDesignPoint> frontier(const MenuSpec& spec,
-                                          std::size_t max_points = 96) const;
-
-  /// Minimum-energy design meeting `amat_target_s`; nullopt if infeasible.
-  std::optional<SystemDesignPoint> best_at(const MenuSpec& spec,
-                                           double amat_target_s) const;
-
-  /// Fastest achievable AMAT for the spec (feasibility bound).
-  double min_amat_s(const MenuSpec& spec) const;
+  /// Enumerate every menu of the spec's cardinality once (menus fan out
+  /// over the pool; output is identical at any thread count).
+  MenuFront solve(const MenuSpec& spec) const;
 
  private:
-  std::vector<SystemDesignPoint> designs_for_menu(
+  std::vector<SystemDesignPoint> menu_front(
       const std::vector<double>& vth_menu,
       const std::vector<double>& tox_menu) const;
-  std::vector<SystemDesignPoint> all_designs(const MenuSpec& spec) const;
 
   const energy::MemorySystemModel& system_;
   KnobGrid grid_;

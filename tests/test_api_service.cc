@@ -4,12 +4,15 @@
 // miss computed, so serialized responses never depend on cache state).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/batch_io.h"
 #include "core/explorer.h"
 #include "nanocache/api.h"
+#include "util/metrics.h"
 
 namespace nanocache::api {
 namespace {
@@ -138,6 +141,80 @@ TEST(ApiService, TupleMenuValidatesCardinality) {
   outcome = service->tuple_menu(request);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.error().code, ErrorCode::kConfig);
+}
+
+TEST(ApiService, TupleMenuRejectsFrontierCapBelowTwo) {
+  // A thinned frontier keeps both endpoints, so caps of 0 and 1 cannot be
+  // honoured; without a frontier the cap is ignored.
+  const auto service = make_service();
+  TupleMenuRequest request;
+  request.num_tox = 1;
+  request.num_vth = 2;
+  request.delay.targets_ps = {1700.0};
+  request.include_frontier = true;
+  for (const int cap : {-1, 0, 1}) {
+    request.frontier_max_points = cap;
+    const auto outcome = service->tuple_menu(request);
+    ASSERT_FALSE(outcome.ok()) << cap;
+    EXPECT_EQ(outcome.error().code, ErrorCode::kConfig) << cap;
+  }
+  request.frontier_max_points = 2;
+  const auto two = service->tuple_menu(request);
+  ASSERT_TRUE(two.ok()) << two.error().message;
+  EXPECT_EQ(two.value().frontier.size(), 2u);
+  request.include_frontier = false;
+  request.frontier_max_points = 1;
+  EXPECT_TRUE(service->tuple_menu(request).ok());
+}
+
+std::uint64_t choose(std::uint64_t n, std::uint64_t k) {
+  std::uint64_t c = 1;
+  for (std::uint64_t i = 1; i <= k; ++i) c = c * (n - k + i) / i;
+  return c;
+}
+
+TEST(ApiService, TupleMenuEnumeratesEachMenuOncePerSpec) {
+  // Any number of targets plus a frontier is one solve: every menu of the
+  // spec is enumerated exactly once, and a repeat is answered from the
+  // memoized front without enumerating again.
+  auto& registry = metrics::Registry::instance();
+  auto& menus = registry.counter("opt.menus_enumerated");
+  auto& designs = registry.counter("opt.designs_considered");
+  const auto grid = core::ExperimentConfig{}.grid;
+  const int num_tox = 2;
+  const int num_vth = 2;
+  const auto expected_menus = choose(grid.tox_values.size(), num_tox) *
+                              choose(grid.vth_values.size(), num_vth);
+
+  std::uint64_t designs_per_solve = 0;
+  for (const auto& targets : {std::vector<double>{1700.0},
+                              std::vector<double>{1300.0, 1500.0, 1700.0,
+                                                  2100.0}}) {
+    const auto service = make_service();
+    TupleMenuRequest request;
+    request.num_tox = num_tox;
+    request.num_vth = num_vth;
+    request.delay.targets_ps = targets;
+    request.include_frontier = true;
+
+    const auto menus0 = menus.value();
+    const auto designs0 = designs.value();
+    const auto first = service->tuple_menu(request);
+    ASSERT_TRUE(first.ok()) << first.error().message;
+    EXPECT_EQ(first.value().targets.size(), targets.size());
+    EXPECT_EQ(menus.value() - menus0, expected_menus) << targets.size();
+    const auto formed = designs.value() - designs0;
+    EXPECT_GT(formed, 0u);
+    if (designs_per_solve == 0) designs_per_solve = formed;
+    EXPECT_EQ(formed, designs_per_solve) << targets.size();
+
+    const auto menus1 = menus.value();
+    const auto designs1 = designs.value();
+    const auto repeat = service->tuple_menu(request);
+    ASSERT_TRUE(repeat.ok()) << repeat.error().message;
+    EXPECT_EQ(menus.value(), menus1) << targets.size();
+    EXPECT_EQ(designs.value(), designs1) << targets.size();
+  }
 }
 
 TEST(ApiService, MemoHitIsBitwiseEqualToMiss) {

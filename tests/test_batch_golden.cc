@@ -3,9 +3,13 @@
 // to the pre-change golden at every thread count, through both the batch
 // path and a served unix socket under 8 concurrent connections (the latter
 // doubles as the tsan soak of the sharded MemoCache — tier-1 runs under
-// tools/run_sanitizers.sh tsan).
+// tools/run_sanitizers.sh tsan).  A second fixture pins the tuple-menu
+// answers (every 1-3 Tox x 1-3 Vth spec, feasible and infeasible targets,
+// thinned and unthinned frontiers) to bytes a scan over every design of
+// every menu produced, so the weak-front reduction (docs/MODELING.md §10a)
+// must reproduce them exactly.
 //
-// Regenerating the golden after an *intentional* model change:
+// Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -60,14 +64,15 @@ std::string batch_output(const api::Service& service,
   return out.str();
 }
 
-/// True (and the golden rewritten) when the caller asked for regeneration;
+/// True (and `golden` rewritten) when the caller asked for regeneration;
 /// tests then skip their comparisons.
-bool maybe_regenerate_golden(const std::string& input) {
+bool maybe_regenerate_golden(const std::string& input,
+                             const std::string& golden =
+                                 "batch_responses_golden.jsonl") {
   if (std::getenv("NANOCACHE_REGEN_GOLDEN") == nullptr) return false;
   par::set_default_threads(1);
   const auto service = make_service();
-  std::ofstream out(data_path("batch_responses_golden.jsonl"),
-                    std::ios::binary);
+  std::ofstream out(data_path(golden), std::ios::binary);
   out << batch_output(*service, input);
   return true;
 }
@@ -145,6 +150,23 @@ TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {
   // identical 100-request streams can miss at most once per unique key.
   const auto stats = service->memo_stats();
   EXPECT_GT(stats.hits, 0u);
+}
+
+TEST(TupleMenuGolden, ByteIdenticalToGoldenAtOneAndEightThreads) {
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path("tuple_menu_requests.jsonl"));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(input, "tuple_menu_golden.jsonl")) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string golden = read_file(data_path("tuple_menu_golden.jsonl"));
+  ASSERT_FALSE(golden.empty());
+
+  for (int threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const auto service = make_service();
+    EXPECT_EQ(batch_output(*service, input), golden) << "threads=" << threads;
+  }
 }
 
 }  // namespace

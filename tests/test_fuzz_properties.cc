@@ -104,8 +104,8 @@ TEST(FuzzOptimizers, ThreeWayAgreementOnFittedObjective) {
 }
 
 TEST(FuzzTupleThinning, ThinnedFrontierCloseToUnthinnedSmallInstance) {
-  // On a menu small enough to enumerate, the default (thinned) frontier
-  // must match the best_at answers, which bypass frontier thinning.
+  // On a menu small enough to enumerate, the thinned frontier must match
+  // the best_at answers, which bypass frontier thinning.
   tech::DeviceModel dev(tech::bptm65());
   CacheModel l1(cachemodel::l1_organization(16 * 1024, dev),
                 tech::DeviceModel(dev.params()));
@@ -116,10 +116,11 @@ TEST(FuzzTupleThinning, ThinnedFrontierCloseToUnthinnedSmallInstance) {
   tiny.vth_values = {0.25, 0.40};
   tiny.tox_values = {11.0, 13.0};
   const opt::TupleMenuSolver solver(system, tiny);
-  const auto front = solver.frontier({2, 2}, 200);
+  const auto solved = solver.solve({2, 2});
+  const auto front = solved.frontier(200);
   ASSERT_GT(front.size(), 3u);
   for (std::size_t i = 0; i < front.size(); i += front.size() / 4 + 1) {
-    const auto best = solver.best_at({2, 2}, front[i].amat_s * (1 + 1e-9));
+    const auto best = solved.best_at(front[i].amat_s * (1 + 1e-9));
     ASSERT_TRUE(best.has_value());
     EXPECT_LE(best->energy_j, front[i].energy_j * (1 + 1e-6)) << i;
     EXPECT_GE(best->energy_j, front[i].energy_j * (1 - 0.02)) << i;

@@ -220,12 +220,16 @@ TEST(L1Study, TotalLeakageMonotoneInL1Size) {
 class Fig2Claims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const auto specs = Explorer::default_fig2_specs();
-    std::vector<double> targets;
-    for (double ps = 1500; ps <= 2100; ps += 300) {
-      targets.push_back(ps * 1e-12);
+    const auto system = explorer().default_system();
+    const opt::TupleMenuSolver solver(system, explorer().config().grid);
+    table_ = new std::vector<std::vector<std::optional<opt::SystemDesignPoint>>>;
+    for (const auto& spec : Explorer::default_fig2_specs()) {
+      const auto front = solver.solve(spec);
+      auto& row = table_->emplace_back();
+      for (double ps = 1500; ps <= 2100; ps += 300) {
+        row.push_back(front.best_at(ps * 1e-12));
+      }
     }
-    table_ = new auto(explorer().fig2_tuple_table(specs, targets));
   }
   static void TearDownTestSuite() {
     delete table_;

@@ -42,7 +42,7 @@ SystemFixture& fixture() {
 
 TEST(TupleSolver, FrontierIsSortedAndNonDominated) {
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  const auto front = solver.frontier({2, 2}, 64);
+  const auto front = solver.solve({2, 2}).frontier(64);
   ASSERT_GT(front.size(), 5u);
   for (std::size_t i = 1; i < front.size(); ++i) {
     EXPECT_GT(front[i].amat_s, front[i - 1].amat_s);
@@ -52,18 +52,19 @@ TEST(TupleSolver, FrontierIsSortedAndNonDominated) {
 
 TEST(TupleSolver, BestAtRespectsConstraint) {
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  const double min_amat = solver.min_amat_s({2, 2});
-  const auto r = solver.best_at({2, 2}, min_amat * 1.2);
+  const auto front = solver.solve({2, 2});
+  const double min_amat = front.min_amat_s();
+  const auto r = front.best_at(min_amat * 1.2);
   ASSERT_TRUE(r.has_value());
   EXPECT_LE(r->amat_s, min_amat * 1.2 * (1 + 1e-12));
-  EXPECT_FALSE(solver.best_at({2, 2}, min_amat * 0.5).has_value());
-  EXPECT_THROW(solver.best_at({2, 2}, -1.0), Error);
+  EXPECT_FALSE(front.best_at(min_amat * 0.5).has_value());
+  EXPECT_THROW(front.best_at(-1.0), Error);
 }
 
 TEST(TupleSolver, DesignRespectsMenuCardinality) {
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  const double t = solver.min_amat_s({2, 2}) * 1.25;
-  const auto r = solver.best_at({2, 2}, t);
+  const auto front = solver.solve({2, 2});
+  const auto r = front.best_at(front.min_amat_s() * 1.25);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->tox_menu.size(), 2u);
   EXPECT_EQ(r->vth_menu.size(), 2u);
@@ -83,10 +84,11 @@ TEST(TupleSolver, DesignRespectsMenuCardinality) {
 
 TEST(TupleSolver, MoreMenuFreedomNeverHurts) {
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  const double t = solver.min_amat_s({1, 1}) * 1.1;
-  const auto e11 = solver.best_at({1, 1}, t);
-  const auto e22 = solver.best_at({2, 2}, t);
-  const auto e33 = solver.best_at({3, 3}, t);
+  const auto f11 = solver.solve({1, 1});
+  const double t = f11.min_amat_s() * 1.1;
+  const auto e11 = f11.best_at(t);
+  const auto e22 = solver.solve({2, 2}).best_at(t);
+  const auto e33 = solver.solve({3, 3}).best_at(t);
   ASSERT_TRUE(e11 && e22 && e33);
   // Supersets of menus can only improve the optimum (DP is exact up to the
   // documented thinning; allow a hair of slack for it).
@@ -99,7 +101,8 @@ TEST(TupleSolver, EnergyMatchesSystemEvaluation) {
   // evaluation of the returned assignment (nominal coupling).
   const auto& f = fixture();
   const TupleMenuSolver solver(*f.system, KnobGrid::paper_default());
-  const auto r = solver.best_at({2, 2}, solver.min_amat_s({2, 2}) * 1.3);
+  const auto front = solver.solve({2, 2});
+  const auto r = front.best_at(front.min_amat_s() * 1.3);
   ASSERT_TRUE(r.has_value());
   const auto m = f.system->evaluate(r->l1, r->l2);
   EXPECT_NEAR(m.amat_s, r->amat_s, r->amat_s * 1e-9);
@@ -115,8 +118,9 @@ TEST(TupleSolver, MatchesBruteForceOnTinyInstance) {
   tiny.vth_values = {0.30, 0.45};
   tiny.tox_values = {12.0};
   const TupleMenuSolver solver(*f.system, tiny);
-  const double target = solver.min_amat_s({1, 2}) * 1.15;
-  const auto fast = solver.best_at({1, 2}, target);
+  const auto front = solver.solve({1, 2});
+  const double target = front.min_amat_s() * 1.15;
+  const auto fast = front.best_at(target);
   ASSERT_TRUE(fast.has_value());
 
   const auto pairs = menu_pairs({0.30, 0.45}, {12.0});
@@ -139,11 +143,11 @@ TEST(TupleSolver, MatchesBruteForceOnTinyInstance) {
 TEST(TupleSolver, Figure2HeadlineOrderings) {
   // The claims the paper draws from Figure 2, evaluated at a mid target.
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  const double t = solver.min_amat_s({3, 3}) * 1.45;
-  const auto e22 = solver.best_at({2, 2}, t);
-  const auto e23 = solver.best_at({2, 3}, t);
-  const auto e12 = solver.best_at({1, 2}, t);
-  const auto e21 = solver.best_at({2, 1}, t);
+  const double t = solver.solve({3, 3}).min_amat_s() * 1.45;
+  const auto e22 = solver.solve({2, 2}).best_at(t);
+  const auto e23 = solver.solve({2, 3}).best_at(t);
+  const auto e12 = solver.solve({1, 2}).best_at(t);
+  const auto e21 = solver.solve({2, 1}).best_at(t);
   ASSERT_TRUE(e22 && e23 && e12 && e21);
   // 2 Tox + 3 Vth at least as good as 2+2; 2+2 within a few percent.
   EXPECT_LE(e23->energy_j, e22->energy_j * 1.02);
@@ -154,8 +158,8 @@ TEST(TupleSolver, Figure2HeadlineOrderings) {
 
 TEST(TupleSolver, RejectsBadSpecs) {
   const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
-  EXPECT_THROW(solver.best_at({0, 2}, 2e-9), Error);
-  EXPECT_THROW(solver.best_at({2, 9}, 2e-9), Error);  // exceeds grid size
+  EXPECT_THROW(solver.solve({0, 2}), Error);
+  EXPECT_THROW(solver.solve({2, 9}), Error);  // exceeds grid size
 }
 
 }  // namespace

@@ -82,11 +82,13 @@ TEST(ParallelDeterminism, TupleMenuDesignsIdenticalAcrossThreadCounts) {
   const auto system = explorer.default_system();
   const opt::TupleMenuSolver solver(system, explorer.config().grid);
   const opt::MenuSpec spec{2, 2};
-  const auto frontier_at = [&](int threads) {
-    return with_threads(threads, [&] { return solver.frontier(spec); });
+  const auto solve_at = [&](int threads) {
+    return with_threads(threads, [&] { return solver.solve(spec); });
   };
-  const auto serial = frontier_at(1);
-  const auto parallel = frontier_at(8);
+  const auto serial_front = solve_at(1);
+  const auto parallel_front = solve_at(8);
+  const auto serial = serial_front.frontier();
+  const auto parallel = parallel_front.frontier();
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_FALSE(serial.empty());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -95,10 +97,8 @@ TEST(ParallelDeterminism, TupleMenuDesignsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial[i].leakage_w, parallel[i].leakage_w);
   }
 
-  const auto best_serial =
-      with_threads(1, [&] { return solver.best_at(spec, 1.7e-9); });
-  const auto best_parallel =
-      with_threads(8, [&] { return solver.best_at(spec, 1.7e-9); });
+  const auto best_serial = serial_front.best_at(1.7e-9);
+  const auto best_parallel = parallel_front.best_at(1.7e-9);
   ASSERT_EQ(best_serial.has_value(), best_parallel.has_value());
   if (best_serial) {
     EXPECT_EQ(best_serial->energy_j, best_parallel->energy_j);
