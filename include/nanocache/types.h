@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace nanocache::api {
@@ -101,6 +102,14 @@ inline const char* level_name(Level level) {
   return level == Level::kL2 ? "l2" : "l1";
 }
 
+/// Inverse of level_name; nullopt for any other spelling.
+inline std::optional<Level> level_from_name(std::string_view name) {
+  for (const Level level : {Level::kL1, Level::kL2}) {
+    if (name == level_name(level)) return level;
+  }
+  return std::nullopt;
+}
+
 /// The paper's three Vth/Tox assignment schemes (Section 4).
 enum class SchemeId {
   kI,    ///< per-component pairs
@@ -115,6 +124,14 @@ inline const char* scheme_id_name(SchemeId scheme) {
     case SchemeId::kIII: return "III";
   }
   return "II";
+}
+
+/// Inverse of scheme_id_name; nullopt for any other spelling.
+inline std::optional<SchemeId> scheme_id_from_name(std::string_view name) {
+  for (const SchemeId id : {SchemeId::kI, SchemeId::kII, SchemeId::kIII}) {
+    if (name == scheme_id_name(id)) return id;
+  }
+  return std::nullopt;
 }
 
 /// One (Vth, Tox) knob pair.  Vth in volts, Tox in Angstrom — the units the

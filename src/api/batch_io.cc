@@ -21,16 +21,11 @@ using json::ValuePtr;
 // --- parsing helpers --------------------------------------------------------
 
 Level parse_level(const std::string& s) {
-  if (s == "l1") return Level::kL1;
-  if (s == "l2") return Level::kL2;
-  throw Error(ErrorCategory::kConfig, "unknown level '" + s + "'");
+  return require_known(level_from_name(s), "level", s);
 }
 
 SchemeId parse_scheme(const std::string& s) {
-  if (s == "I") return SchemeId::kI;
-  if (s == "II") return SchemeId::kII;
-  if (s == "III") return SchemeId::kIII;
-  throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
+  return require_known(scheme_id_from_name(s), "scheme", s);
 }
 
 RequestKind parse_kind(const std::string& s) {
@@ -590,38 +585,13 @@ class ObjectWriter {
   std::string out_;
 };
 
-std::string double_array_json(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += json::format_double(values[i]);
-  }
-  return out + "]";
-}
-
-std::string int_array_json(const std::vector<int>& values) {
+/// int or std::uint64_t elements.
+template <typename Integer>
+std::string int_array_json(const std::vector<Integer>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ',';
     out += std::to_string(values[i]);
-  }
-  return out + "]";
-}
-
-std::string uint_array_json(const std::vector<std::uint64_t>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(values[i]);
-  }
-  return out + "]";
-}
-
-std::string string_array_json(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += json::quote(values[i]);
   }
   return out + "]";
 }
@@ -636,7 +606,7 @@ std::string grid_spec_json(const GridSpec& g) {
 std::string delay_constraint_json(const DelayConstraint& d) {
   ObjectWriter w;
   w.double_field("target_ps", d.target_ps);
-  w.field("targets_ps", double_array_json(d.targets_ps));
+  w.field("targets_ps", json::double_array(d.targets_ps));
   return w.str();
 }
 
@@ -779,8 +749,8 @@ std::string menu_design_json(const MenuDesign& d) {
   w.double_field("amat_ps", d.amat_ps);
   w.double_field("energy_pj", d.energy_pj);
   w.double_field("leakage_mw", d.leakage_mw);
-  w.field("tox_menu_a", double_array_json(d.tox_menu_a));
-  w.field("vth_menu_v", double_array_json(d.vth_menu_v));
+  w.field("tox_menu_a", json::double_array(d.tox_menu_a));
+  w.field("vth_menu_v", json::double_array(d.vth_menu_v));
   w.field("l1_assignment", assignment_json(d.l1_assignment));
   w.field("l2_assignment", assignment_json(d.l2_assignment));
   return w.str();
@@ -818,10 +788,10 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   w.double_field("vth_max_v", c.vth_max_v);
   w.double_field("tox_min_a", c.tox_min_a);
   w.double_field("tox_max_a", c.tox_max_a);
-  w.field("grid_vth_v", double_array_json(c.grid_vth_v));
-  w.field("grid_tox_a", double_array_json(c.grid_tox_a));
-  w.field("schemes", string_array_json(c.schemes));
-  w.field("sweeps", string_array_json(c.sweeps));
+  w.field("grid_vth_v", json::double_array(c.grid_vth_v));
+  w.field("grid_tox_a", json::double_array(c.grid_tox_a));
+  w.field("schemes", json::string_array(c.schemes));
+  w.field("sweeps", json::string_array(c.sweeps));
   w.uint_field("l1_size_bytes", c.l1_size_bytes);
   w.uint_field("l2_size_bytes", c.l2_size_bytes);
   w.int_field("threads", c.threads);
@@ -850,9 +820,9 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   surrogate.int_field("optimize_tables", c.surrogate_optimize_tables);
   surrogate.string_field("fingerprint", c.surrogate_fingerprint);
   surrogate.string_field("stamp", c.surrogate_stamp);
-  surrogate.field("sizes_bytes", uint_array_json(c.surrogate_sizes_bytes));
+  surrogate.field("sizes_bytes", int_array_json(c.surrogate_sizes_bytes));
   surrogate.field("nodes_nm", int_array_json(c.surrogate_nodes_nm));
-  surrogate.field("schemes", string_array_json(c.surrogate_schemes));
+  surrogate.field("schemes", json::string_array(c.surrogate_schemes));
   ObjectWriter bounds;
   bounds.double_field("leakage_mw", c.surrogate_max_error_leakage_mw);
   bounds.double_field("access_time_ps", c.surrogate_max_error_access_time_ps);

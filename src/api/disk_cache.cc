@@ -1,15 +1,8 @@
 #include "api/disk_cache.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "util/error.h"
-#include "util/json.h"
 #include "util/metrics.h"
 
 namespace nanocache::api {
@@ -36,107 +29,38 @@ DiskCounters& disk_counters() {
   return counters;
 }
 
-std::string entry_checksum(const std::string& key,
-                           const std::string& response) {
-  return fnv1a64_hex(key + '\n' + response);
+void count_write_error() {
+  metrics::Registry::instance().counter("api.disk.write_errors").add(1);
 }
 
-std::string header_line(const std::string& fingerprint) {
-  return "{\"nanocache_cache\":1,\"fingerprint\":" + json::quote(fingerprint) +
-         "}";
-}
-
-std::string entry_line(const std::string& key, const std::string& response) {
-  return "{\"key\":" + json::quote(key) +
-         ",\"checksum\":" + json::quote(entry_checksum(key, response)) +
-         ",\"response\":" + json::quote(response) + "}";
-}
+const segment::Format kFormat{"nanocache", "nanocache_cache",
+                               {"key", "response"}};
 
 }  // namespace
 
 std::unique_ptr<DiskCache> DiskCache::open(const std::string& dir,
                                            const std::string& fingerprint) {
   NC_REQUIRE(!dir.empty(), "disk cache directory must be non-empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  NC_REQUIRE_IO(!ec, "cannot create cache directory '" + dir +
-                         "': " + ec.message());
-
   auto cache = std::unique_ptr<DiskCache>(new DiskCache());
-  cache->fingerprint_ = fingerprint;
-  cache->path_ =
-      (std::filesystem::path(dir) / ("nanocache-" + fingerprint + ".jsonl"))
-          .string();
-  cache->load();
+  cache->path_ = segment::path(dir, kFormat, fingerprint);
+  auto& entries = cache->entries_;
+  const auto read = segment::read(
+      cache->path_, kFormat, fingerprint, [&entries](auto& values) {
+        entries.emplace(std::move(values[0]), std::move(values[1]));
+      });
+  disk_counters().corrupt.add(read.corrupt_lines);
+  if (read.state == segment::State::kOk) {
+    // Opening the appender is the appendability probe: a read-only segment
+    // surfaces here, not mid-batch.
+    cache->appender_ = segment::Appender::open(cache->path_, kFormat);
+  } else {
+    // Missing, empty, or answering for another configuration (or garbage):
+    // start the segment over.
+    if (read.state == segment::State::kMismatch) disk_counters().resets.add(1);
+    cache->appender_ =
+        segment::Appender::create(cache->path_, kFormat, fingerprint);
+  }
   return cache;
-}
-
-void DiskCache::load() {
-  bool rewrite = false;
-  {
-    std::ifstream in(path_);
-    if (in.good()) {
-      std::string line;
-      if (!std::getline(in, line)) {
-        rewrite = true;  // empty file: (re)write the header
-      } else {
-        // Validate the header; any mismatch (garbage, different
-        // fingerprint) discards the whole segment — its entries answer for
-        // a different configuration or cannot be trusted.
-        bool header_ok = false;
-        try {
-          const auto root = json::parse(line);
-          const auto magic = root->get("nanocache_cache");
-          const auto fp = root->get("fingerprint");
-          header_ok = magic != nullptr && magic->as_int() == 1 &&
-                      fp != nullptr && fp->as_string() == fingerprint_;
-        } catch (const Error&) {
-          header_ok = false;
-        }
-        if (!header_ok) {
-          rewrite = true;
-          disk_counters().resets.add(1);
-        } else {
-          while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            try {
-              const auto root = json::parse(line);
-              const auto key = root->get("key");
-              const auto checksum = root->get("checksum");
-              const auto response = root->get("response");
-              NC_REQUIRE(key != nullptr && checksum != nullptr &&
-                             response != nullptr,
-                         "cache entry is missing a field");
-              NC_REQUIRE(checksum->as_string() ==
-                             entry_checksum(key->as_string(),
-                                            response->as_string()),
-                         "cache entry checksum mismatch");
-              entries_.emplace(key->as_string(), response->as_string());
-            } catch (const Error&) {
-              // Truncated tail, garbage line, or checksum mismatch: drop
-              // the entry; the lookup path recomputes and re-stores.
-              ++corrupt_lines_;
-              disk_counters().corrupt.add(1);
-            }
-          }
-        }
-      }
-    } else {
-      rewrite = true;  // no segment yet
-    }
-  }
-
-  if (rewrite) {
-    std::ofstream out(path_, std::ios::trunc);
-    out << header_line(fingerprint_) << '\n';
-    out.flush();
-    NC_REQUIRE_IO(out.good(), "cannot write cache segment: " + path_);
-    return;
-  }
-  // Loaded (possibly with dropped entries): probe appendability now so a
-  // read-only segment surfaces at open, not mid-batch.
-  std::ofstream out(path_, std::ios::app);
-  NC_REQUIRE_IO(out.good(), "cannot append to cache segment: " + path_);
 }
 
 std::optional<std::string> DiskCache::lookup(const std::string& key) {
@@ -157,34 +81,19 @@ void DiskCache::store(const std::string& key,
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, response_json);
   if (!inserted) return;  // racing duplicate: first store wins
-  ++stores_;
   disk_counters().stores.add(1);
-  if (!writable_) return;
-  std::ofstream out(path_, std::ios::app);
-  out << entry_line(key, response_json) << '\n';
-  out.flush();
-  if (!out.good()) {
-    // Persistence failed mid-run (disk full, segment deleted).  The
-    // in-memory copy keeps serving this run; stop appending rather than
-    // failing requests that already computed fine.
-    writable_ = false;
-    metrics::Registry::instance().counter("api.disk.write_errors").add(1);
+  if (appender_ != nullptr && !appender_->append({key, response_json})) {
+    // Persistence failed mid-run (disk full).  The in-memory copy keeps
+    // serving this run; stop appending rather than failing requests that
+    // already computed fine.
+    appender_.reset();
+    count_write_error();
   }
 }
 
 std::size_t DiskCache::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (writable_) {
-    const int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-    if (fd >= 0) {
-      if (::fsync(fd) != 0) {
-        metrics::Registry::instance().counter("api.disk.write_errors").add(1);
-      }
-      ::close(fd);
-    } else {
-      metrics::Registry::instance().counter("api.disk.write_errors").add(1);
-    }
-  }
+  if (appender_ != nullptr && !appender_->sync()) count_write_error();
   return entries_.size();
 }
 
@@ -195,18 +104,6 @@ std::size_t DiskCache::hits() const {
 std::size_t DiskCache::misses() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return misses_;
-}
-std::size_t DiskCache::stores() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stores_;
-}
-std::size_t DiskCache::corrupt_lines() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return corrupt_lines_;
-}
-std::size_t DiskCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace nanocache::api

@@ -8,23 +8,18 @@
 // run with a different configuration reads from, and writes to, a
 // different file instead of mixing results.
 //
-// File layout (one directory may hold segments of many configurations):
+// The file is a util/segment.h segment (the format is described there):
+// <dir>/nanocache-<fingerprint>.jsonl with one (key, response) per entry.
 //
-//   <dir>/nanocache-<fingerprint>.jsonl
-//     {"nanocache_cache":1,"fingerprint":"<16 hex>"}          <- header
-//     {"key":"...","checksum":"<16 hex>","response":"{...}"}  <- entries
-//
-// Each entry carries an FNV-1a-64 checksum over `key + '\n' + response`.
-// Robustness is strictly "never a wrong answer": a truncated tail line, a
-// garbage line, or a checksum mismatch drops that entry (counted in
-// api.disk.corrupt_lines) and the lookup falls through to computation; a
-// header that does not match the expected fingerprint discards the whole
-// segment and rewrites it.  Only an unusable cache *directory* is an error
-// (Error(kIo) from open()), because the caller asked for persistence it
-// cannot have.
+// Policies on top of the format: a header mismatch discards and rewrites
+// the segment (api.disk.segment_resets); dropped entries (api.disk.
+// corrupt_lines) just recompute.  Only an unusable cache directory or
+// segment is an error (Error(kIo) from open()), because the caller asked
+// for persistence it cannot have.
 //
 // Concurrency: entries load fully into memory at open(); lookups and the
-// append-on-store run under one mutex.  The cache stores serialized
+// append-on-store (one line through the segment held open since open())
+// run under one mutex.  The cache stores serialized
 // response lines, not structs — a hit re-parses with parse_response_json,
 // whose round-trip exactness keeps cached responses byte-identical to
 // freshly computed ones.
@@ -35,17 +30,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
-#include "util/hash.h"
+#include "util/segment.h"
 
 namespace nanocache::api {
-
-/// FNV-1a 64-bit hash, fixed-width lower-case hex (now in util so the
-/// surrogate store can share it).  Re-exported here for the existing
-/// segment-checksum and fingerprint call sites.
-using ::nanocache::fnv1a64_hex;
 
 class DiskCache {
  public:
@@ -62,12 +51,13 @@ class DiskCache {
   std::optional<std::string> lookup(const std::string& key);
 
   /// Append (key -> response_json) unless the key is already present.
-  /// Appends are flushed per entry; a failed append disables further writes
-  /// for this run (the in-memory copy stays serving) rather than throwing
+  /// Each append is one write to the open segment; a failed append
+  /// disables further writes for this run (the in-memory copy stays
+  /// serving, api.disk.write_errors counts it) rather than throwing
   /// mid-batch.
   void store(const std::string& key, const std::string& response_json);
 
-  /// Durability barrier: fsync the segment file.  store() flushes each
+  /// Durability barrier: fsync the segment file.  store() writes each
   /// append out of the process, but only into the OS page cache; flush()
   /// pushes the segment to stable storage (a server shutting down calls
   /// this).  Returns the in-memory entry count.  A failed sync degrades
@@ -78,24 +68,17 @@ class DiskCache {
 
   std::size_t hits() const;
   std::size_t misses() const;
-  std::size_t stores() const;
-  /// Entries dropped while loading (truncated/garbage/checksum mismatch).
-  std::size_t corrupt_lines() const;
-  std::size_t entries() const;
 
  private:
   DiskCache() = default;
-  void load();
 
   std::string path_;
-  std::string fingerprint_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::string> entries_;
-  bool writable_ = true;
+  /// Null once an append failed: memory-only from then on.
+  std::unique_ptr<segment::Appender> appender_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t stores_ = 0;
-  std::size_t corrupt_lines_ = 0;
 };
 
 }  // namespace nanocache::api

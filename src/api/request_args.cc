@@ -12,13 +12,6 @@ namespace nanocache::api {
 
 namespace {
 
-SchemeId parse_scheme_flag(const std::string& s) {
-  if (s == "I") return SchemeId::kI;
-  if (s == "II") return SchemeId::kII;
-  if (s == "III") return SchemeId::kIII;
-  throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
-}
-
 /// --assoc accepts 1/2/4/8 or "full" (fully associative), like the wire's
 /// organization.associativity.
 int parse_assoc_flag(const std::string& s) {
@@ -209,6 +202,21 @@ bool flag_present(const CliArgs& args, const std::string& key) {
   return args.flags.count(key) > 0;
 }
 
+SchemeId flag_scheme(const CliArgs& args, SchemeId fallback) {
+  const auto it = args.flags.find("scheme");
+  if (it == args.flags.end()) return fallback;
+  return require_known(scheme_id_from_name(it->second), "scheme", it->second);
+}
+
+opt::Scheme to_opt_scheme(SchemeId id) {
+  switch (id) {
+    case SchemeId::kI: return opt::Scheme::kPerComponent;
+    case SchemeId::kII: return opt::Scheme::kArrayPeriphery;
+    case SchemeId::kIII: return opt::Scheme::kUniform;
+  }
+  return opt::Scheme::kArrayPeriphery;
+}
+
 ServiceConfig service_config_from_args(const CliArgs& args) {
   ServiceConfig config;
   config.use_fitted_models = flag_present(args, "fitted");
@@ -277,8 +285,7 @@ Outcome<Request> request_from_args(const CliArgs& args) {
           flag_present(args, "l2") ? Level::kL2 : Level::kL1;
       r.optimize.target.size_bytes =
           flag_uint(args, "size", r.optimize.target.size_bytes);
-      const auto it = args.flags.find("scheme");
-      if (it != args.flags.end()) r.optimize.scheme = parse_scheme_flag(it->second);
+      r.optimize.scheme = flag_scheme(args, r.optimize.scheme);
       r.optimize.delay.target_ps =
           flag_double(args, "delay-ps", r.optimize.delay.target_ps);
       apply_organization_flags(args, r.optimize.organization);

@@ -11,6 +11,7 @@
 #include "nanocache/requests.h"
 #include "nanocache/service.h"
 #include "nanocache/types.h"
+#include "opt/schemes.h"
 
 namespace nanocache::api {
 
@@ -36,6 +37,12 @@ double flag_double(const CliArgs& args, const std::string& key,
 std::uint64_t flag_uint(const CliArgs& args, const std::string& key,
                         std::uint64_t fallback);
 bool flag_present(const CliArgs& args, const std::string& key);
+/// --scheme I|II|III (nanocache/types.h spelling), `fallback` when absent;
+/// Error(kConfig) "unknown scheme 'X'" for any other value.
+SchemeId flag_scheme(const CliArgs& args, SchemeId fallback);
+
+/// The optimizer's enum for a wire scheme id.
+opt::Scheme to_opt_scheme(SchemeId id);
 
 /// Service configuration from the shared flags: --fitted, --strict,
 /// --cache-dir DIR (falling back to $NANOCACHE_CACHE_DIR; empty disables

@@ -15,6 +15,7 @@
 #include "api/batch_io.h"
 #include "api/disk_cache.h"
 #include "api/memo_cache.h"
+#include "api/request_args.h"
 #include "cachemodel/cache_model.h"
 #include "core/explorer.h"
 #include "opt/options.h"
@@ -23,6 +24,7 @@
 #include "surrogate/store.h"
 #include "tech/params.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace_span.h"
@@ -41,15 +43,6 @@ ErrorCode to_error_code(ErrorCategory category) {
     case ErrorCategory::kInternal: return ErrorCode::kInternal;
   }
   return ErrorCode::kInternal;
-}
-
-opt::Scheme to_scheme(SchemeId id) {
-  switch (id) {
-    case SchemeId::kI: return opt::Scheme::kPerComponent;
-    case SchemeId::kII: return opt::Scheme::kArrayPeriphery;
-    case SchemeId::kIII: return opt::Scheme::kUniform;
-  }
-  return opt::Scheme::kArrayPeriphery;
 }
 
 /// Run `fn`, folding thrown nanocache::Errors (and anything else) into a
@@ -433,8 +426,9 @@ struct Service::Impl {
           gating.enabled ? delay_s * (1.0 + gating.perf_loss_budget)
                          : delay_s;
       return std::make_shared<const opt::OptOutcome<opt::SchemeResult>>(
-          opt::optimize_single_cache(eval, ex.config().grid, to_scheme(scheme),
-                                     effective_delay_s, space));
+          opt::optimize_single_cache(eval, ex.config().grid,
+                                     to_opt_scheme(scheme), effective_delay_s,
+                                     space));
     });
   }
 
@@ -454,7 +448,7 @@ struct Service::Impl {
       const auto& ex = explorer_for(node_nm);
       auto rows = kind == SweepKind::kL1Sizes
                       ? ex.l1_size_sweep(amat_s)
-                      : ex.l2_size_sweep(to_scheme(l2_scheme), amat_s);
+                      : ex.l2_size_sweep(to_opt_scheme(l2_scheme), amat_s);
       return std::make_shared<const std::vector<core::SizeSweepRow>>(
           std::move(rows));
     });

@@ -281,12 +281,10 @@ PrecomputeSummary precompute_surrogate(const Service& service,
   }
 
   const std::string& fingerprint = service.configuration_fingerprint();
-  surrogate::write_segment(out_dir, fingerprint, options.stamp, evals,
-                           optimizes);
-
   PrecomputeSummary summary;
   summary.fingerprint = fingerprint;
-  summary.path = surrogate::segment_path(out_dir, fingerprint);
+  summary.path = surrogate::write_segment(out_dir, fingerprint, options.stamp,
+                                          evals, optimizes);
   summary.eval_tables = evals.size();
   summary.optimize_tables = optimizes.size();
   summary.exact_evals = engine.evals;

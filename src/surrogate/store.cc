@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <utility>
 
 #include "util/error.h"
 #include "util/hash.h"
-#include "util/json.h"
 #include "util/metrics.h"
 
 namespace nanocache::surrogate {
@@ -89,73 +87,45 @@ std::unique_ptr<SurrogateStore> SurrogateStore::open(
   }
   NC_REQUIRE_IO(std::filesystem::is_directory(status),
                 "surrogate path '" + dir + "' is not a directory");
-  const std::string path = segment_path(dir, fingerprint);
-  if (!std::filesystem::exists(path, ec)) {
-    return store;
-  }
-  store->load(path);
-  store->index_tables();
-  return store;
-}
-
-void SurrogateStore::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return;  // racing deletion: degrade to exact
-
-  std::string line;
-  if (!std::getline(in, line)) return;  // empty file: no tables
-  try {
-    const auto header = json::parse(line);
-    const auto magic = header->get("nanocache_surrogate");
-    const auto fp = header->get("fingerprint");
-    NC_REQUIRE(magic && magic->as_int() == 1 && fp &&
-                   fp->as_string() == fingerprint_,
-               "surrogate segment header mismatch");
-    if (const auto stamp = header->get("stamp")) {
-      stamp_ = stamp->as_string();
-    }
-  } catch (const Error&) {
+  std::string content;
+  const auto read = segment::read(
+      segment::path(dir, kSegmentFormat, fingerprint), kSegmentFormat,
+      fingerprint, [&](auto& values) {
+        const std::string& text = values[0];
+        EvalTable eval;
+        OptimizeTable optimize;
+        if (parse_table_json(text, &eval, &optimize)) {
+          EvalEntry e;
+          e.grid =
+              std::make_unique<math::BilinearGrid>(eval.vth_v, eval.tox_a);
+          const std::string key =
+              eval_key(eval.level, eval.size_bytes, eval.node_nm);
+          e.table = std::move(eval);
+          store->evals_[key] = std::move(e);
+        } else {
+          store->optimizes_[optimize_key(optimize.level, optimize.size_bytes,
+                                         optimize.node_nm, optimize.scheme)] =
+              std::move(optimize);
+        }
+        content += text;
+        content += '\n';
+      });
+  if (read.state == segment::State::kMismatch) {
     // A segment written by a different build (or garbage): reject it
     // whole rather than risk serving answers certified against another
     // model.  Never rewritten here — the store is a read-only consumer.
     store_counters().rejects.add(1);
-    return;
   }
-
-  std::string content;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      const auto entry = json::parse(line);
-      const auto checksum = entry->get("checksum");
-      const auto table = entry->get("table");
-      NC_REQUIRE(checksum && table, "surrogate entry missing fields");
-      const std::string& text = table->as_string();
-      NC_REQUIRE(fnv1a64_hex(text) == checksum->as_string(),
-                 "surrogate entry checksum mismatch");
-      EvalTable eval;
-      OptimizeTable optimize;
-      if (parse_table_json(text, &eval, &optimize)) {
-        EvalEntry e;
-        e.grid = std::make_unique<math::BilinearGrid>(eval.vth_v, eval.tox_a);
-        const std::string key =
-            eval_key(eval.level, eval.size_bytes, eval.node_nm);
-        e.table = std::move(eval);
-        evals_[key] = std::move(e);
-      } else {
-        optimizes_[optimize_key(optimize.level, optimize.size_bytes,
-                                optimize.node_nm, optimize.scheme)] =
-            std::move(optimize);
-      }
-      content += text;
-      content += '\n';
-    } catch (const Error&) {
-      ++corrupt_lines_;
-      store_counters().corrupt.add(1);
-    }
+  if (read.state != segment::State::kOk) return store;
+  if (const auto stamp = read.header.find("stamp");
+      stamp != read.header.end()) {
+    store->stamp_ = stamp->second;
   }
-  content_checksum_ = fnv1a64_hex(content);
-  store_counters().tables.add(evals_.size() + optimizes_.size());
+  store_counters().corrupt.add(read.corrupt_lines);
+  store->content_checksum_ = fnv1a64_hex(content);
+  store_counters().tables.add(store->evals_.size() + store->optimizes_.size());
+  store->index_tables();
+  return store;
 }
 
 void SurrogateStore::index_tables() {

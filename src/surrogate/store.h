@@ -66,7 +66,6 @@ class SurrogateStore {
   std::size_t eval_tables() const { return evals_.size(); }
   std::size_t optimize_tables() const { return optimizes_.size(); }
   bool loaded() const { return !evals_.empty() || !optimizes_.empty(); }
-  std::size_t corrupt_lines() const { return corrupt_lines_; }
 
   const std::string& fingerprint() const { return fingerprint_; }
   /// The segment's precompute stamp (caller-supplied, not wall-clock).
@@ -85,7 +84,6 @@ class SurrogateStore {
 
  private:
   SurrogateStore() = default;
-  void load(const std::string& path);
   void index_tables();
 
   struct EvalEntry {
@@ -96,7 +94,6 @@ class SurrogateStore {
   std::string fingerprint_;
   std::string stamp_;
   std::string content_checksum_;
-  std::size_t corrupt_lines_ = 0;
   api::SurrogateErrorBounds worst_bounds_{};
   /// Keyed "level|size|node" and "level|size|node|scheme".
   std::map<std::string, EvalEntry> evals_;

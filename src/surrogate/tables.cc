@@ -1,49 +1,14 @@
 #include "surrogate/tables.h"
 
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "util/error.h"
-#include "util/hash.h"
 #include "util/json.h"
 
 namespace nanocache::surrogate {
 
 namespace {
-
-api::Level parse_level(const std::string& s) {
-  if (s == "l1") return api::Level::kL1;
-  if (s == "l2") return api::Level::kL2;
-  throw Error(ErrorCategory::kConfig, "unknown level '" + s + "'");
-}
-
-api::SchemeId parse_scheme(const std::string& s) {
-  if (s == "I") return api::SchemeId::kI;
-  if (s == "II") return api::SchemeId::kII;
-  if (s == "III") return api::SchemeId::kIII;
-  throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
-}
-
-std::string double_array_json(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json::format_double(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string string_array_json(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json::quote(values[i]);
-  }
-  out += ']';
-  return out;
-}
 
 std::string bound_model_json(const BoundModel& bound) {
   return "{\"scale\":" + json::format_double(bound.scale) +
@@ -91,7 +56,8 @@ void require_axis(const std::vector<double>& axis, const char* what) {
 
 EvalTable parse_eval_table(const json::ValuePtr& root) {
   EvalTable t;
-  t.level = parse_level(require_field(root, "level")->as_string());
+  const std::string& level = require_field(root, "level")->as_string();
+  t.level = require_known(api::level_from_name(level), "level", level);
   t.size_bytes = require_field(root, "size_bytes")->as_uint();
   t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
   t.organization = require_field(root, "organization")->as_string();
@@ -116,10 +82,12 @@ EvalTable parse_eval_table(const json::ValuePtr& root) {
 
 OptimizeTable parse_optimize_table(const json::ValuePtr& root) {
   OptimizeTable t;
-  t.level = parse_level(require_field(root, "level")->as_string());
+  const std::string& level = require_field(root, "level")->as_string();
+  t.level = require_known(api::level_from_name(level), "level", level);
   t.size_bytes = require_field(root, "size_bytes")->as_uint();
   t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
-  t.scheme = parse_scheme(require_field(root, "scheme")->as_string());
+  const std::string& scheme = require_field(root, "scheme")->as_string();
+  t.scheme = require_known(api::scheme_id_from_name(scheme), "scheme", scheme);
   for (const auto& rv : require_field(root, "rungs")->as_array()) {
     OptimizeRung rung;
     rung.target_ps = require_field(rv, "target_ps")->as_double();
@@ -151,10 +119,10 @@ std::string eval_table_json(const EvalTable& table) {
   out += ",\"size_bytes\":" + std::to_string(table.size_bytes);
   out += ",\"node_nm\":" + std::to_string(table.node_nm);
   out += ",\"organization\":" + json::quote(table.organization);
-  out += ",\"components\":" + string_array_json(table.components);
-  out += ",\"vth_v\":" + double_array_json(table.vth_v);
-  out += ",\"tox_a\":" + double_array_json(table.tox_a);
-  out += ",\"values\":" + double_array_json(table.values);
+  out += ",\"components\":" + json::string_array(table.components);
+  out += ",\"vth_v\":" + json::double_array(table.vth_v);
+  out += ",\"tox_a\":" + json::double_array(table.tox_a);
+  out += ",\"values\":" + json::double_array(table.values);
   out += ",\"bounds\":{\"leakage_mw\":" + bound_model_json(table.bound_leakage);
   out += ",\"access_time_ps\":" + bound_model_json(table.bound_access);
   out += ",\"dynamic_pj\":" + bound_model_json(table.bound_dynamic);
@@ -208,43 +176,32 @@ bool parse_table_json(const std::string& text, EvalTable* eval,
               "unknown surrogate table kind '" + kind + "'");
 }
 
-std::string segment_path(const std::string& dir,
-                         const std::string& fingerprint) {
-  return dir + "/nanocache-surrogate-" + fingerprint + ".jsonl";
-}
+const segment::Format kSegmentFormat{"nanocache-surrogate",
+                                     "nanocache_surrogate", {"table"}};
 
-void write_segment(const std::string& dir, const std::string& fingerprint,
-                   const std::string& stamp,
-                   const std::vector<EvalTable>& evals,
-                   const std::vector<OptimizeTable>& optimizes) {
+std::string write_segment(const std::string& dir,
+                          const std::string& fingerprint,
+                          const std::string& stamp,
+                          const std::vector<EvalTable>& evals,
+                          const std::vector<OptimizeTable>& optimizes) {
   NC_REQUIRE(!dir.empty(), "surrogate directory must be non-empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  NC_REQUIRE_IO(!ec, "cannot create surrogate directory '" + dir +
-                         "': " + ec.message());
-
-  const std::string path = segment_path(dir, fingerprint);
+  const std::string path = segment::path(dir, kSegmentFormat, fingerprint);
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    NC_REQUIRE_IO(out.good(),
-                  "cannot write surrogate segment '" + tmp + "'");
-    out << "{\"nanocache_surrogate\":1,\"fingerprint\":"
-        << json::quote(fingerprint) << ",\"stamp\":" << json::quote(stamp)
-        << "}\n";
-    const auto emit = [&out](const std::string& table) {
-      out << "{\"checksum\":" << json::quote(fnv1a64_hex(table))
-          << ",\"table\":" << json::quote(table) << "}\n";
+    const auto out = segment::Appender::create(tmp, kSegmentFormat,
+                                               fingerprint, {{"stamp", stamp}});
+    const auto append = [&](const std::string& table) {
+      NC_REQUIRE_IO(out->append({table}),
+                    "failed writing surrogate segment '" + tmp + "'");
     };
-    for (const auto& t : evals) emit(eval_table_json(t));
-    for (const auto& t : optimizes) emit(optimize_table_json(t));
-    out.flush();
-    NC_REQUIRE_IO(out.good(),
-                  "failed writing surrogate segment '" + tmp + "'");
+    for (const auto& t : evals) append(eval_table_json(t));
+    for (const auto& t : optimizes) append(optimize_table_json(t));
   }
+  std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   NC_REQUIRE_IO(!ec, "cannot finalize surrogate segment '" + path +
                          "': " + ec.message());
+  return path;
 }
 
 }  // namespace nanocache::surrogate

@@ -22,13 +22,9 @@
 //    relaxes).  The bound is rigorous, not sampled; access time and dynamic
 //    energy of the served design are exact (bound 0).
 //
-// Tables serialize to one JSONL segment per library fingerprint,
-// mirroring the DiskCache layout (header + checksummed lines, corruption
-// drops lines instead of ever serving a wrong answer):
-//
-//   <dir>/nanocache-surrogate-<fingerprint>.jsonl
-//     {"nanocache_surrogate":1,"fingerprint":"<16 hex>","stamp":"..."}
-//     {"checksum":"<16 hex>","table":"{...}"}
+// Tables serialize to one util/segment.h segment per library fingerprint
+// (the format is described there): nanocache-surrogate-<fingerprint>.jsonl
+// with one table per entry and the precompute stamp in the header.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +33,7 @@
 #include <vector>
 
 #include "nanocache/types.h"
+#include "util/segment.h"
 
 namespace nanocache::surrogate {
 
@@ -115,16 +112,18 @@ std::string optimize_table_json(const OptimizeTable& table);
 bool parse_table_json(const std::string& text, EvalTable* eval,
                       OptimizeTable* optimize);
 
-/// Segment file naming, shared by reader and writer.
-std::string segment_path(const std::string& dir,
-                         const std::string& fingerprint);
+/// The table segment kind, shared by write_segment and SurrogateStore:
+/// one "table" field per entry, the precompute stamp in the header.
+extern const segment::Format kSegmentFormat;
 
 /// Write a complete segment (header + one checksummed line per table),
-/// creating `dir` as needed.  Throws Error(kIo) when the directory or file
-/// cannot be written.
-void write_segment(const std::string& dir, const std::string& fingerprint,
-                   const std::string& stamp,
-                   const std::vector<EvalTable>& evals,
-                   const std::vector<OptimizeTable>& optimizes);
+/// creating `dir` as needed, into a temporary file renamed into place.
+/// Returns the segment's path.  Throws Error(kIo) when the directory or
+/// file cannot be written.
+std::string write_segment(const std::string& dir,
+                          const std::string& fingerprint,
+                          const std::string& stamp,
+                          const std::vector<EvalTable>& evals,
+                          const std::vector<OptimizeTable>& optimizes);
 
 }  // namespace nanocache::surrogate

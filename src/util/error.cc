@@ -1,7 +1,5 @@
 #include "util/error.h"
 
-#include <sstream>
-
 namespace nanocache {
 
 const char* category_name(ErrorCategory category) {
@@ -27,13 +25,9 @@ Error::Error(ErrorCategory category, const std::string& what)
 
 namespace detail {
 
-void throw_require_failure(ErrorCategory category, const char* condition,
-                           const char* file, int line,
+void throw_require_failure(ErrorCategory category,
                            const std::string& message) {
-  std::ostringstream os;
-  os << "nanocache precondition failed: " << message << " [" << condition
-     << "] at " << file << ":" << line;
-  throw Error(category, os.str());
+  throw Error(category, message);
 }
 
 }  // namespace detail

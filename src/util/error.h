@@ -7,11 +7,12 @@
 // without parsing message text.
 //
 // NC_REQUIRE is the standard argument-validation macro (category kConfig);
-// the NC_REQUIRE_* variants attach the other categories.  All of them
-// format the failed condition and a caller-supplied message into the
-// exception text.
+// the NC_REQUIRE_* variants attach the other categories.  The exception
+// text is the category and the caller-supplied message only: it travels
+// onto the wire, so it names no source location or C++ expression.
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -60,24 +61,33 @@ class Error : public std::runtime_error {
   ErrorCategory category_;
 };
 
+/// The value of a name->enum parse (nanocache/types.h), or
+/// Error(kConfig) "unknown <what> '<text>'" when `text` named nothing.
+template <typename T>
+T require_known(const std::optional<T>& parsed, const char* what,
+                const std::string& text) {
+  if (!parsed) {
+    throw Error(ErrorCategory::kConfig,
+                std::string("unknown ") + what + " '" + text + "'");
+  }
+  return *parsed;
+}
+
 namespace detail {
 [[noreturn]] void throw_require_failure(ErrorCategory category,
-                                        const char* condition,
-                                        const char* file, int line,
                                         const std::string& message);
 }  // namespace detail
 
 }  // namespace nanocache
 
-#define NC_REQUIRE_CAT_(category, cond, message)                          \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::nanocache::detail::throw_require_failure(                         \
-          (category), #cond, __FILE__, __LINE__, (message));              \
-    }                                                                     \
+#define NC_REQUIRE_CAT_(category, cond, message)                         \
+  do {                                                                   \
+    if (!(cond)) {                                                       \
+      ::nanocache::detail::throw_require_failure((category), (message)); \
+    }                                                                    \
   } while (false)
 
-/// Validate a precondition; throws nanocache::Error with context on
+/// Validate a precondition; throws nanocache::Error carrying `message` on
 /// failure.  Plain NC_REQUIRE is for argument/configuration validation and
 /// carries ErrorCategory::kConfig.
 #define NC_REQUIRE(cond, message) \

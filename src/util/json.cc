@@ -345,7 +345,7 @@ std::string format_double(double d) {
   return std::string(buf, ptr);
 }
 
-std::string quote(const std::string& s) {
+std::string quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   out.push_back('"');
@@ -371,6 +371,24 @@ std::string quote(const std::string& s) {
   }
   out.push_back('"');
   return out;
+}
+
+std::string double_array(const std::vector<double>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    out += format_double(values[i]);
+  }
+  return out + "]";
+}
+
+std::string string_array(const std::vector<std::string>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    out += quote(values[i]);
+  }
+  return out + "]";
 }
 
 }  // namespace nanocache::json

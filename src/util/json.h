@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nanocache::json {
@@ -77,6 +78,10 @@ ValuePtr parse(const std::string& text);
 std::string format_double(double d);
 
 /// JSON string literal (quotes + escapes) for `s`.
-std::string quote(const std::string& s);
+std::string quote(std::string_view s);
+
+/// JSON arrays of format_double numbers / quote strings: "[1.5,2]".
+std::string double_array(const std::vector<double>& values);
+std::string string_array(const std::vector<std::string>& values);
 
 }  // namespace nanocache::json

@@ -15,6 +15,7 @@
 #include "api/batch_io.h"
 #include "api/disk_cache.h"
 #include "nanocache/api.h"
+#include "util/hash.h"
 
 namespace nanocache::api {
 namespace {
@@ -122,6 +123,25 @@ TEST(ApiDiskCache, TruncatedSegmentFallsBackToComputation) {
   // The intact prefix still hits; the severed tail recomputes.
   EXPECT_LT(after.stats.disk_hits, workload.size());
   EXPECT_GT(after.stats.disk_misses, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ApiDiskCache, TornTailDoesNotSwallowTheNextAppend) {
+  const auto dir = test_cache_dir("torn");
+  const auto workload = small_workload();
+  run_cached(dir, workload);
+
+  // A crash mid-append: the last entry loses its tail and its '\n'.
+  const auto path = segment_path(dir);
+  fs::resize_file(path, fs::file_size(path) - 10);
+
+  const auto repair = run_cached(dir, workload);
+  EXPECT_EQ(repair.stats.disk_hits, workload.size() - 1);
+  EXPECT_EQ(repair.stats.disk_misses, 1u);
+  // The recomputed entry went onto its own line, so every entry now hits.
+  const auto after = run_cached(dir, workload);
+  EXPECT_EQ(after.stats.disk_hits, workload.size());
+  EXPECT_EQ(after.stats.disk_misses, 0u);
   fs::remove_all(dir);
 }
 

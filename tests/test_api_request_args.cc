@@ -50,6 +50,29 @@ TEST(RequestArgs, MisspeltFlagIsAConfigError) {
   EXPECT_EQ(exit_code_for(ErrorCode::kConfig), 2);
 }
 
+TEST(RequestArgs, UnknownSchemeIsAConfigErrorEverywhere) {
+  // optimize builds a request; frontier reads the flag directly.  Both go
+  // through flag_scheme, so neither falls back to Scheme II.
+  const auto optimize = request_from_args(parse({"optimize", "--scheme", "IV"}));
+  ASSERT_FALSE(optimize.ok());
+  EXPECT_EQ(optimize.error().code, ErrorCode::kConfig);
+  EXPECT_NE(optimize.error().message.find("unknown scheme 'IV'"),
+            std::string::npos)
+      << optimize.error().message;
+  try {
+    (void)flag_scheme(parse({"frontier", "--scheme", "IV"}), SchemeId::kII);
+    ADD_FAILURE() << "--scheme IV was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+    EXPECT_NE(std::string(e.what()).find("unknown scheme 'IV'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(flag_scheme(parse({"frontier", "--scheme", "III"}), SchemeId::kII),
+            SchemeId::kIII);
+  EXPECT_EQ(flag_scheme(parse({"frontier"}), SchemeId::kII), SchemeId::kII);
+}
+
 TEST(RequestArgs, RetiredSearchFlagIsAConfigError) {
   expect_rejected({"batch", "requests.jsonl", "--search", "exhaustive"},
                   "--search");

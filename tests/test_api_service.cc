@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,39 @@ TEST(ApiService, ServeRejectsWrongSchemaVersion) {
   EXPECT_FALSE(response.ok);
   EXPECT_EQ(response.id, "r1");
   EXPECT_EQ(response.error.code, ErrorCode::kConfig);
+}
+
+TEST(ApiService, ErrorMessagesNameNoSourceLocationOrExpression) {
+  // Error text travels onto the wire: it may carry its category in
+  // brackets, never a source file, line or C++ condition.
+  const auto expect_clean = [](const std::string& message) {
+    EXPECT_EQ(message.find(".cc:"), std::string::npos) << message;
+    const std::regex bracketed("\\[([^\\]]*)\\]");
+    for (auto it = std::sregex_iterator(message.begin(), message.end(),
+                                        bracketed);
+         it != std::sregex_iterator(); ++it) {
+      const std::string inside = (*it)[1].str();
+      EXPECT_TRUE(inside == "config" || inside == "numeric-domain" ||
+                  inside == "io" || inside == "infeasible" ||
+                  inside == "internal")
+          << message;
+    }
+  };
+
+  const auto parsed = parse_request_json("{}");
+  ASSERT_FALSE(parsed.ok());
+  expect_clean(parsed.error().message);
+  EXPECT_NE(parsed.error().message.find("missing schema_version"),
+            std::string::npos)
+      << parsed.error().message;
+
+  Request request;
+  request.kind = RequestKind::kOptimize;
+  request.optimize.delay.target_ps = -1.0;
+  const auto response = make_service()->serve(request);
+  ASSERT_FALSE(response.ok);
+  EXPECT_EQ(response.error.code, ErrorCode::kConfig);
+  expect_clean(response.error.message);
 }
 
 TEST(ApiService, TupleMenuValidatesCardinality) {

@@ -343,12 +343,8 @@ int cmd_capabilities(const api::Service& service) {
 int cmd_frontier(const api::Service& service, const CliArgs& args) {
   const auto size = api::flag_uint(args, "size", 16 * 1024);
   const bool is_l2 = api::flag_present(args, "l2");
-  opt::Scheme scheme = opt::Scheme::kArrayPeriphery;
-  const auto it = args.flags.find("scheme");
-  if (it != args.flags.end()) {
-    if (it->second == "I") scheme = opt::Scheme::kPerComponent;
-    else if (it->second == "III") scheme = opt::Scheme::kUniform;
-  }
+  const opt::Scheme scheme =
+      api::to_opt_scheme(api::flag_scheme(args, api::SchemeId::kII));
   const auto& explorer = service.explorer();
   const auto& model =
       is_l2 ? explorer.l2_model(size) : explorer.l1_model(size);
