@@ -822,7 +822,8 @@ int emit_surrogate_json(const std::string& path) {
     const double ft = std::fmod(0.7548776662 * (i + 1), 1.0);
     r.eval.knobs.vth_v = 0.2 + 0.3 * (0.02 + 0.96 * fv);
     r.eval.knobs.tox_a = 10.0 + 4.0 * (0.02 + 0.96 * ft);
-    r.id = "e" + std::to_string(i);
+    r.id = "e";
+    r.id += std::to_string(i);
     workload.push_back(std::move(r));
   }
   for (int i = 0; i < 100; ++i) {
@@ -832,7 +833,8 @@ int emit_surrogate_json(const std::string& path) {
         i % 3 == 0 ? api::SchemeId::kI
                    : (i % 3 == 1 ? api::SchemeId::kII : api::SchemeId::kIII);
     r.optimize.delay.target_ps = 1360.0 + 2.6 * i;
-    r.id = "o" + std::to_string(i);
+    r.id = "o";
+    r.id += std::to_string(i);
     workload.push_back(std::move(r));
   }
 

@@ -1,6 +1,5 @@
 #include "api/batch_io.h"
 
-#include <bit>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/metrics.h"
 
@@ -832,18 +832,6 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   return w.str();
 }
 
-/// Bit-pattern key of a double: structural identity, not decimal identity.
-std::string key_double(double d) {
-  const auto bits = std::bit_cast<std::uint64_t>(d);
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
-  }
-  buf[16] = '\0';
-  return std::string(buf);
-}
-
 void key_doubles(std::string& key, const std::vector<double>& values) {
   key += '[';
   for (const double v : values) {
@@ -1000,10 +988,9 @@ std::string request_canonical_key(const Request& request) {
   // requests or each other.
   const bool supported = request.schema_version >= kMinSchemaVersion &&
                          request.schema_version <= kSchemaVersion;
-  std::string key =
-      "v" +
-      std::to_string(supported ? kSchemaVersion : request.schema_version) +
-      "|";
+  std::string key = "v";
+  key += std::to_string(supported ? kSchemaVersion : request.schema_version);
+  key += '|';
   key += request_kind_name(request.kind);
   key += '|';
   switch (request.kind) {

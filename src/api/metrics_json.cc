@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -11,70 +12,86 @@ namespace {
 
 double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
+/// Append `"name":raw` to an object under construction in `out`, after a
+/// comma unless it is the object's first member.
+void append_field(std::string& out, std::string_view name,
+                  const std::string& raw) {
+  if (out.back() != '{') out += ',';
+  out += json::quote(name);
+  out += ':';
+  out += raw;
+}
+
+/// Append `{"name":value,...}` for an ordered name -> value map.
+template <typename Map, typename Render>
+void append_object(std::string& out, const Map& members, Render render) {
+  out += '{';
+  for (const auto& [name, value] : members) {
+    append_field(out, name, render(value));
+  }
+  out += '}';
+}
+
 std::string histogram_json(const metrics::HistogramSnapshot& h) {
   std::string out = "{";
-  out += json::quote("count") + ":" + std::to_string(h.count);
-  out += "," + json::quote("sum") + ":" + std::to_string(h.sum);
-  out += "," + json::quote("buckets") + ":[";
+  append_field(out, "count", std::to_string(h.count));
+  append_field(out, "sum", std::to_string(h.sum));
+  append_field(out, "buckets", "[");
   bool first = true;
   for (std::size_t b = 0; b < metrics::Histogram::kBuckets; ++b) {
     if (h.buckets[b] == 0) continue;  // omit empty buckets
     if (!first) out += ',';
     first = false;
-    out += "{" + json::quote("le") + ":";
-    out += b + 1 < metrics::Histogram::kBuckets
-               ? std::to_string(metrics::Histogram::bucket_bound(b))
-               : json::quote("+inf");
-    out += "," + json::quote("count") + ":" + std::to_string(h.buckets[b]);
-    out += "}";
+    out += '{';
+    append_field(out, "le",
+                 b + 1 < metrics::Histogram::kBuckets
+                     ? std::to_string(metrics::Histogram::bucket_bound(b))
+                     : json::quote("+inf"));
+    append_field(out, "count", std::to_string(h.buckets[b]));
+    out += '}';
   }
-  return out + "]}";
+  out += "]}";
+  return out;
 }
 
 std::string phase_json(const metrics::PhaseSnapshot& p) {
   std::string out = "{";
-  out += json::quote("count") + ":" + std::to_string(p.count);
-  out += "," + json::quote("total_ms") + ":" +
-         json::format_double(ns_to_ms(p.total_ns));
-  out += "," + json::quote("max_ms") + ":" +
-         json::format_double(ns_to_ms(p.max_ns));
-  return out + "}";
+  append_field(out, "count", std::to_string(p.count));
+  append_field(out, "total_ms", json::format_double(ns_to_ms(p.total_ns)));
+  append_field(out, "max_ms", json::format_double(ns_to_ms(p.max_ns)));
+  out += '}';
+  return out;
 }
 
 std::string span_json(const metrics::SpanRecord& s) {
   std::string out = "{";
-  out += json::quote("name") + ":" + json::quote(s.name);
-  out += "," + json::quote("parent") + ":" + json::quote(s.parent);
-  out += "," + json::quote("depth") + ":" + std::to_string(s.depth);
-  out += "," + json::quote("thread") + ":" + std::to_string(s.thread_id);
-  out += "," + json::quote("start_ms") + ":" +
-         json::format_double(ns_to_ms(s.start_ns));
-  out += "," + json::quote("duration_ms") + ":" +
-         json::format_double(ns_to_ms(s.duration_ns));
-  return out + "}";
+  append_field(out, "name", json::quote(s.name));
+  append_field(out, "parent", json::quote(s.parent));
+  append_field(out, "depth", std::to_string(s.depth));
+  append_field(out, "thread", std::to_string(s.thread_id));
+  append_field(out, "start_ms", json::format_double(ns_to_ms(s.start_ns)));
+  append_field(out, "duration_ms",
+               json::format_double(ns_to_ms(s.duration_ns)));
+  out += '}';
+  return out;
 }
 
 std::string batch_json(const BatchStats& stats) {
   std::string out = "{";
-  out += json::quote("requests") + ":" + std::to_string(stats.requests);
-  out += "," + json::quote("unique_requests") + ":" +
-         std::to_string(stats.unique_requests);
-  out += "," + json::quote("request_hits") + ":" +
-         std::to_string(stats.request_hits);
-  out += "," + json::quote("memo_hits") + ":" +
-         std::to_string(stats.memo_hits);
-  out += "," + json::quote("memo_misses") + ":" +
-         std::to_string(stats.memo_misses);
+  append_field(out, "requests", std::to_string(stats.requests));
+  append_field(out, "unique_requests", std::to_string(stats.unique_requests));
+  append_field(out, "request_hits", std::to_string(stats.request_hits));
+  append_field(out, "memo_hits", std::to_string(stats.memo_hits));
+  append_field(out, "memo_misses", std::to_string(stats.memo_misses));
   const double dedup_ratio =
       stats.requests == 0
           ? 0.0
           : static_cast<double>(stats.request_hits) /
                 static_cast<double>(stats.requests);
-  out += "," + json::quote("dedup_ratio") + ":" +
-         json::format_double(dedup_ratio);
-  out += "," + json::quote("hit_rate") + ":" +
-         json::format_double(stats.hit_rate());
-  return out + "}";
+  append_field(out, "dedup_ratio", json::format_double(dedup_ratio));
+  append_field(out, "hit_rate", json::format_double(stats.hit_rate()));
+  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -82,56 +99,26 @@ std::string batch_json(const BatchStats& stats) {
 std::string metrics_to_json(const metrics::MetricsSnapshot& snapshot,
                             const std::vector<metrics::SpanRecord>& spans,
                             const BatchStats* batch) {
+  const auto integer = [](const auto& v) { return std::to_string(v); };
   std::string out = "{";
-  out += json::quote("schema_version") + ":1";
-
-  out += "," + json::quote("counters") + ":{";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + std::to_string(value);
-  }
-  out += "}";
-
-  out += "," + json::quote("gauges") + ":{";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + std::to_string(value);
-  }
-  out += "}";
-
-  out += "," + json::quote("histograms") + ":{";
-  first = true;
-  for (const auto& [name, h] : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + histogram_json(h);
-  }
-  out += "}";
-
-  out += "," + json::quote("phases") + ":{";
-  first = true;
-  for (const auto& [name, p] : snapshot.phases) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + phase_json(p);
-  }
-  out += "}";
-
-  out += "," + json::quote("spans") + ":[";
+  append_field(out, "schema_version", "1");
+  append_field(out, "counters", "");
+  append_object(out, snapshot.counters, integer);
+  append_field(out, "gauges", "");
+  append_object(out, snapshot.gauges, integer);
+  append_field(out, "histograms", "");
+  append_object(out, snapshot.histograms, histogram_json);
+  append_field(out, "phases", "");
+  append_object(out, snapshot.phases, phase_json);
+  append_field(out, "spans", "[");
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) out += ',';
     out += span_json(spans[i]);
   }
-  out += "]";
-
-  if (batch != nullptr) {
-    out += "," + json::quote("batch") + ":" + batch_json(*batch);
-  }
-  return out + "}";
+  out += ']';
+  if (batch != nullptr) append_field(out, "batch", batch_json(*batch));
+  out += '}';
+  return out;
 }
 
 std::string current_metrics_json(const BatchStats* batch) {
@@ -144,12 +131,13 @@ std::string metrics_response_line(const std::string& id,
   // Mirrors response_to_json's envelope key order (schema_version, id,
   // kind, ok, result) so server clients parse one uniform shape.
   std::string out = "{";
-  out += json::quote("schema_version") + ":" + std::to_string(kSchemaVersion);
-  if (!id.empty()) out += "," + json::quote("id") + ":" + json::quote(id);
-  out += "," + json::quote("kind") + ":" + json::quote("metrics");
-  out += "," + json::quote("ok") + ":true";
-  out += "," + json::quote("result") + ":" + current_metrics_json(batch);
-  return out + "}";
+  append_field(out, "schema_version", std::to_string(kSchemaVersion));
+  if (!id.empty()) append_field(out, "id", json::quote(id));
+  append_field(out, "kind", json::quote("metrics"));
+  append_field(out, "ok", "true");
+  append_field(out, "result", current_metrics_json(batch));
+  out += '}';
+  return out;
 }
 
 }  // namespace nanocache::api

@@ -1,7 +1,6 @@
 #include "nanocache/service.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -58,19 +57,6 @@ auto guarded(Fn&& fn) -> Outcome<decltype(fn())> {
   } catch (const std::exception& e) {
     return Outcome<R>::failure(ErrorCode::kInternal, e.what());
   }
-}
-
-/// Bit-pattern key of a double (same convention as batch_io's canonical
-/// request keys): memo entries match on structural identity.
-std::string key_double(double d) {
-  const auto bits = std::bit_cast<std::uint64_t>(d);
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
-  }
-  buf[16] = '\0';
-  return std::string(buf);
 }
 
 /// Library fingerprint for the persistent disk cache: a hash over everything
@@ -249,17 +235,6 @@ int resolve_associativity(Level level, const OrganizationSpec& org) {
   if (org.associativity != 0) return org.associativity;
   return level == Level::kL2 ? 8 : 2;
 }
-
-/// Fork-join cost hints for run_batch's two request classes.  Order of
-/// magnitude only — they feed the par::kSerialFallbackNs comparison, so
-/// all that matters is that a handful of evals stays serial while a
-/// handful of optimizer runs forks.
-constexpr std::uint64_t kCheapRequestCostHintNs = 20'000;    // memoized eval
-constexpr std::uint64_t kHeavyRequestCostHintNs = 1'000'000; // optimizer run
-
-/// One scheme-comparison row solves three scheme optimizations; even a
-/// two-row sweep is worth forking.
-constexpr std::uint64_t kSchemesRowCostHintNs = 3'000'000;
 
 }  // namespace
 
@@ -702,7 +677,7 @@ Outcome<SweepResponse> Service::sweep(const SweepRequest& request) const {
                 request.node_nm));
             return row;
           },
-          /*threads=*/0, /*chunk_size=*/1, kSchemesRowCostHintNs);
+          /*threads=*/0, /*chunk_size=*/1);
       return r;
     }
 
@@ -999,46 +974,20 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
     peak_queue.record_max(static_cast<std::int64_t>(first_occurrence.size()));
   }
 
-  // Partition unique requests by expected cost.  Heavy requests (optimizer
-  // and sweep runs, milliseconds each) are dealt one at a time so a slow
-  // straggler never pins a whole chunk behind it; cheap ones (evals,
-  // capabilities, tens of microseconds) keep the default contiguous
-  // chunking, which hands each worker a run of requests per pool ticket —
-  // and the cost hint collapses a batch of only-cheap requests to a serial
-  // loop that skips pool wake-up entirely.  Both regions write unique slot
-  // u, so response assembly is independent of the partition.
-  std::vector<std::size_t> cheap;
-  std::vector<std::size_t> heavy;
-  for (std::size_t u = 0; u < first_occurrence.size(); ++u) {
-    const auto kind = requests[first_occurrence[u]].kind;
-    const bool is_cheap = kind == RequestKind::kEval ||
-                          kind == RequestKind::kCapabilities;
-    (is_cheap ? cheap : heavy).push_back(u);
-  }
-
-  // More workers than cores just adds contention on the memo shards and
-  // the metrics registry; requests themselves fan out no further (nested
-  // parallel regions run inline).  Capped here at the service layer so
-  // explicit oversubscribed thread counts still exercise the pool
-  // machinery in unit tests that call par::parallel_for directly.
-  const int batch_threads =
-      std::min(par::default_threads(), par::hardware_threads());
-
+  // One region over the unique requests, one request per chunk so a slow
+  // one never pins others behind it.  A request's own parallel regions
+  // share the pool with this one, so idle workers help a lone heavy
+  // request.  More batch workers than cores just adds contention on the
+  // memo shards and the metrics registry, so the fan-out is clamped here
+  // (explicit thread counts passed to par:: directly are honored as given).
   std::vector<Response> unique_responses(first_occurrence.size());
   par::parallel_for(
-      heavy.size(),
-      [&](std::size_t i) {
-        const std::size_t u = heavy[i];
+      first_occurrence.size(),
+      [&](std::size_t u) {
         unique_responses[u] = serve(requests[first_occurrence[u]]);
       },
-      batch_threads, /*chunk_size=*/1, kHeavyRequestCostHintNs);
-  par::parallel_for(
-      cheap.size(),
-      [&](std::size_t i) {
-        const std::size_t u = cheap[i];
-        unique_responses[u] = serve(requests[first_occurrence[u]]);
-      },
-      batch_threads, /*chunk_size=*/0, kCheapRequestCostHintNs);
+      std::min(par::default_threads(), par::hardware_threads()),
+      /*chunk_size=*/1);
 
   batch.responses.resize(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -18,32 +18,6 @@ using cachemodel::l1_organization;
 using cachemodel::l2_organization;
 using opt::Scheme;
 
-namespace {
-
-/// Same type as Explorer::PendingDegradations (a private alias).
-using PendingVec = std::vector<std::pair<std::string, DegradationEvent>>;
-
-/// Active degradation buffer of the current sweep task (if any).  Workers
-/// run exactly one task body at a time and nested parallel calls stay on
-/// the same thread, so a thread-local pointer is task-scoped.
-thread_local PendingVec* tl_degradation_buffer = nullptr;
-
-/// RAII installer for the task-local degradation buffer.
-class DegradationBufferScope {
- public:
-  explicit DegradationBufferScope(PendingVec* buffer)
-      : previous_(tl_degradation_buffer) {
-    tl_degradation_buffer = buffer;
-  }
-  ~DegradationBufferScope() { tl_degradation_buffer = previous_; }
-  DegradationBufferScope(const DegradationBufferScope&) = delete;
-  DegradationBufferScope& operator=(const DegradationBufferScope&) = delete;
-
- private:
-  PendingVec* previous_;
-};
-}  // namespace
-
 Explorer::Explorer(ExperimentConfig config) : config_(std::move(config)) {
   config_.validate();
 }
@@ -91,25 +65,25 @@ void Explorer::record_degradation(const cachemodel::CacheModel& model,
   static auto& degradations =
       metrics::Registry::instance().counter("explorer.degradation_events");
   degradations.add(1);
-  DegradationEvent event{model.organization().describe(), reason};
-  if (tl_degradation_buffer != nullptr) {
-    tl_degradation_buffer->emplace_back(dedup_key, std::move(event));
-    return;
-  }
   std::lock_guard<std::mutex> lock(degradation_mutex_);
-  if (!degradation_keys_.insert(dedup_key).second) return;
-  degradation_log_.push_back(std::move(event));
+  const auto [it, inserted] = degradation_log_.try_emplace(
+      dedup_key, DegradationEvent{model.organization().describe(), reason});
+  // Keep the least reason of a key, not the first recorded: the log is
+  // then independent of which thread reached the cause first.
+  if (!inserted && reason < it->second.reason) it->second.reason = reason;
 }
 
-void Explorer::merge_pending(
-    std::vector<PendingDegradations>&& buffers) const {
+std::vector<DegradationEvent> Explorer::degradation_events() const {
   std::lock_guard<std::mutex> lock(degradation_mutex_);
-  for (auto& buffer : buffers) {
-    for (auto& [key, event] : buffer) {
-      if (!degradation_keys_.insert(key).second) continue;
-      degradation_log_.push_back(std::move(event));
-    }
-  }
+  std::vector<DegradationEvent> events;
+  events.reserve(degradation_log_.size());
+  for (const auto& [key, event] : degradation_log_) events.push_back(event);
+  return events;
+}
+
+void Explorer::clear_degradation_events() {
+  std::lock_guard<std::mutex> lock(degradation_mutex_);
+  degradation_log_.clear();
 }
 
 void Explorer::run_parallel_sweep(
@@ -117,17 +91,7 @@ void Explorer::run_parallel_sweep(
   static auto& sweep_tasks =
       metrics::Registry::instance().counter("explorer.sweep_tasks");
   sweep_tasks.add(n);
-  std::vector<PendingDegradations> buffers(n);
-  try {
-    par::parallel_for(n, [&](std::size_t i) {
-      DegradationBufferScope scope(&buffers[i]);
-      body(i);
-    });
-  } catch (...) {
-    merge_pending(std::move(buffers));  // keep events from completed tasks
-    throw;
-  }
-  merge_pending(std::move(buffers));
+  par::parallel_for(n, body);
 }
 
 opt::ComponentEvaluator Explorer::evaluator(
@@ -294,9 +258,6 @@ std::vector<double> Explorer::delay_ladder(std::uint64_t cache_size_bytes,
                                            int steps) const {
   NC_REQUIRE(steps >= 2, "ladder needs >= 2 steps");
   const auto& m = l1_model(cache_size_bytes);
-  // Serial on purpose: this is a handful of evaluations, and direct
-  // (unbuffered) degradation recording stays in deterministic order.
-  par::SerialRegionGuard serial;
   const auto eval = evaluator(m);
   const double lo =
       opt::min_access_time(eval, config_.grid, Scheme::kUniform) * 1.001;
@@ -321,8 +282,6 @@ double Explorer::l2_squeeze_target_s(double headroom_factor,
     reference_l2_bytes = *std::min_element(config_.l2_size_sweep.begin(),
                                            config_.l2_size_sweep.end());
   }
-  // Serial on purpose — see delay_ladder.
-  par::SerialRegionGuard serial;
   const auto& l1 = l1_model(config_.l1_size_bytes);
   const double t_l1 =
       l1.evaluate_uniform(config_.default_knobs).access_time_s;
@@ -527,8 +486,8 @@ std::vector<Fig2Series> Explorer::fig2_tuple_frontiers(
   const auto system = default_system();
   const opt::TupleMenuSolver solver(system, config_.grid);
   // Specs run serially, one solve each; a solve fans its menus out over
-  // the pool, and the per-menu DPs are the units of parallel work
-  // (parallelizing the spec layer too would just collapse the inner one).
+  // the pool, and the per-menu DPs are the units of parallel work (there
+  // are enough of them to fill every core).
   std::vector<Fig2Series> out;
   for (const auto& spec : specs) {
     Fig2Series s;

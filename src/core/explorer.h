@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -160,15 +159,12 @@ class Explorer {
   /// never propagate silently.
   opt::ComponentEvaluator evaluator(const cachemodel::CacheModel& model) const;
 
-  /// Fitted->structural fallbacks recorded so far (deduplicated per cache
-  /// and cause).  Empty on the pure structural path.
-  const std::vector<DegradationEvent>& degradation_events() const {
-    return degradation_log_;
-  }
-  void clear_degradation_events() {
-    degradation_log_.clear();
-    degradation_keys_.clear();
-  }
+  /// Fitted->structural fallbacks recorded so far: one per cache and cause,
+  /// in (cache, cause) order, each quoting the least reason recorded for
+  /// it — the same log at any thread count.  Empty on the pure structural
+  /// path.
+  std::vector<DegradationEvent> degradation_events() const;
+  void clear_degradation_events();
 
   /// Memory-system model for the configured default sizes.
   energy::MemorySystemModel default_system() const;
@@ -179,32 +175,20 @@ class Explorer {
 
   /// Record one degradation event, deduplicated by `key` so a sweep that
   /// leaves the fitted domain thousands of times logs it once per cause.
-  /// Thread-safe: inside run_parallel_sweep the event lands in the task's
-  /// buffer; otherwise it goes straight to the shared log under a mutex.
+  /// Thread-safe, and the resulting log does not depend on the order in
+  /// which concurrent tasks record.
   void record_degradation(const cachemodel::CacheModel& model,
                           const std::string& key,
                           const std::string& reason) const;
 
-  /// Degradation events staged by one sweep task: (dedup key, event),
-  /// merged into the shared log after the parallel region.
-  using PendingDegradations =
-      std::vector<std::pair<std::string, DegradationEvent>>;
-
-  /// Run `body(i)` for i in [0, n) on the parallel pool, giving each task
-  /// a private degradation buffer and merging the buffers into the shared
-  /// log in task index order afterwards — event content AND order are
-  /// identical at every thread count.
+  /// Run `body(i)` for i in [0, n) on the parallel pool.
   void run_parallel_sweep(std::size_t n,
                           const std::function<void(std::size_t)>& body) const;
 
-  void merge_pending(std::vector<PendingDegradations>&& buffers) const;
-
   ExperimentConfig config_;
-  /// Guards degradation_log_/degradation_keys_ for recordings made outside
-  /// a buffered sweep (direct evaluator use by callers).
   mutable std::mutex degradation_mutex_;
-  mutable std::vector<DegradationEvent> degradation_log_;
-  mutable std::set<std::string> degradation_keys_;
+  /// Degradation events by dedup key (organization + cause).
+  mutable std::map<std::string, DegradationEvent> degradation_log_;
   /// Guards the lazily-populated model/fit caches.  Construction happens
   /// under the lock; returned references stay valid because node-based map
   /// insertion never relocates existing entries.

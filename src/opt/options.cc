@@ -17,8 +17,7 @@ namespace {
 /// Grids smaller than this are evaluated serially: one structural
 /// evaluation is microseconds, so pool dispatch only pays off once the
 /// pair count clears the fork-join overhead.  Outer sweep loops (targets,
-/// sizes, menus) are the primary parallel axis; when one of those is
-/// already running, nested calls here collapse to serial anyway.
+/// sizes, menus) are the primary parallel axis.
 constexpr std::size_t kMinParallelPairs = 64;
 
 int option_threads(std::size_t n) {

@@ -126,7 +126,7 @@ std::vector<T> chunked_prefilter(std::vector<T>&& items, Filter&& filter) {
 template <typename T, typename FX, typename FY>
 std::vector<T> pareto_min2(std::vector<T> items, FX fx, FY fy) {
   if (items.size() >= detail::kParetoParallelThreshold &&
-      !par::in_parallel_region() && par::default_threads() > 1) {
+      par::default_threads() > 1) {
     items = detail::chunked_prefilter(
         std::move(items), [&](std::vector<T> slice) {
           return detail::pareto_min2_serial(std::move(slice), fx, fy);
@@ -140,7 +140,7 @@ std::vector<T> pareto_min2(std::vector<T> items, FX fx, FY fy) {
 template <typename T, typename FX, typename FY, typename FZ>
 std::vector<T> pareto_min3(std::vector<T> items, FX fx, FY fy, FZ fz) {
   if (items.size() >= detail::kParetoParallelThreshold &&
-      !par::in_parallel_region() && par::default_threads() > 1) {
+      par::default_threads() > 1) {
     items = detail::chunked_prefilter(
         std::move(items), [&](std::vector<T> slice) {
           return detail::pareto_min3_serial(std::move(slice), fx, fy, fz);

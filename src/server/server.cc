@@ -305,11 +305,11 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
 }
 
 void Server::worker_loop() {
-  // Each worker evaluates its requests serially inline: cross-request
-  // concurrency comes from the worker count, exactly like run_batch's
-  // fan-out workers, and every response stays byte-identical to a serial
-  // evaluation (the library's thread-count determinism contract).
-  par::SerialRegionGuard serial;
+  // Cross-request concurrency comes from the worker count; a request's own
+  // parallel regions share the library pool with every other worker's, so
+  // a lone heavy request still spreads over idle cores.  Responses stay
+  // byte-identical to a serial evaluation (the library's thread-count
+  // determinism contract).
   while (auto task = queue_.pop()) {
     std::string line = respond(*task);
     line += '\n';

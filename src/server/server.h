@@ -24,12 +24,13 @@
 // Concurrency model: requests from ALL connections funnel through one
 // bounded queue (admission control — a full queue blocks readers, which
 // propagates backpressure to clients through the socket) into a fixed pool
-// of worker threads.  Each worker evaluates requests serially inline
-// (par::SerialRegionGuard), mirroring run_batch's per-worker behavior, so
-// cross-request parallelism comes from the worker count while every
-// response stays byte-identical to a serial evaluation.  Workers share the
-// Service's memoization and disk caches, so concurrent clients asking for
-// the same computation get bitwise-equal answers with the cost paid once.
+// of worker threads.  Cross-request parallelism comes from the worker
+// count; the parallel regions inside one request run on the library's one
+// shared pool (util/parallel.h), so idle cores help a lone heavy request.
+// Every response stays byte-identical to a serial evaluation.  Workers
+// share the Service's memoization and disk caches, so concurrent clients
+// asking for the same computation get bitwise-equal answers with the cost
+// paid once.
 //
 // Shutdown (SIGINT/SIGTERM via install_signal_handlers, or shutdown()):
 // stop accepting, stop reading (half-close every connection's read side),

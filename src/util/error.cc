@@ -18,10 +18,21 @@ const char* category_name(ErrorCategory category) {
   return "internal";
 }
 
+namespace {
+
+/// "[category] what": the message every Error carries.
+std::string tagged(ErrorCategory category, const std::string& what) {
+  std::string message = "[";
+  message += category_name(category);
+  message += "] ";
+  message += what;
+  return message;
+}
+
+}  // namespace
+
 Error::Error(ErrorCategory category, const std::string& what)
-    : std::runtime_error("[" + std::string(category_name(category)) + "] " +
-                         what),
-      category_(category) {}
+    : std::runtime_error(tagged(category, what)), category_(category) {}
 
 namespace detail {
 

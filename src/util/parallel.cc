@@ -1,5 +1,6 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -17,7 +18,6 @@ namespace nanocache::par {
 namespace {
 
 std::atomic<int> g_default_threads{0};  // 0 = unset, fall through to env/hw
-thread_local int tl_region_depth = 0;
 /// Pool worker index of the current thread (0 = a caller thread), for the
 /// per-worker chunk-claim counters.
 thread_local int tl_worker_id = 0;
@@ -47,11 +47,11 @@ int env_threads() {
   return static_cast<int>(v);
 }
 
-/// One fork-join region: workers claim chunks from `next` until the range
+/// One fork-join region: threads claim chunks from `next` until the range
 /// drains or a chunk fails.
 ///
 /// Error determinism: `error_bound` is the lowest failing index recorded so
-/// far (SIZE_MAX while none).  Workers stop claiming chunks that start at
+/// far (SIZE_MAX while none).  Threads stop claiming chunks that start at
 /// or above the bound and break out of a running chunk when they reach it.
 /// A chunk's indices all lie below the start of every later chunk, so a
 /// chunk can only be cancelled at indices the serial loop would never have
@@ -64,6 +64,14 @@ struct Region {
   std::size_t num_chunks = 0;
   detail::RawBody invoke = nullptr;
   void* ctx = nullptr;
+  /// The region whose chunk was running on the opening thread (nullptr for
+  /// a region opened outside the pool's work).  Outlives this region: the
+  /// parent's chunk cannot finish before this region drains.
+  const Region* parent = nullptr;
+  /// Threads allowed in besides the opener, and threads in besides the
+  /// opener right now (guarded by Pool::mutex_).
+  int helper_cap = 0;
+  int helpers = 0;
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> error_bound{
@@ -71,6 +79,20 @@ struct Region {
   std::mutex error_mutex;
   std::exception_ptr error;
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
+
+  /// Chunks are left to claim (a hint: claims race with this read).
+  bool claimable() const {
+    const std::size_t c = next.load(std::memory_order_relaxed);
+    return c < num_chunks &&
+           c * chunk < error_bound.load(std::memory_order_relaxed);
+  }
+
+  bool descends_from(const Region* ancestor) const {
+    for (const Region* r = parent; r != nullptr; r = r->parent) {
+      if (r == ancestor) return true;
+    }
+    return false;
+  }
 
   void record_failure(std::size_t i) {
     {
@@ -111,10 +133,25 @@ struct Region {
   }
 };
 
-/// Persistent worker pool.  Workers sleep on a condition variable and join
-/// the active region when one is published; the spawning thread always
-/// participates and waits for every joined worker to leave before the
-/// region object (stack-allocated in parallel_for) dies.
+/// The region whose chunk the current thread is running, if any: the
+/// parent of every region this thread opens.
+thread_local const Region* tl_region = nullptr;
+
+void run_in(Region& region) {
+  const Region* outer = tl_region;
+  tl_region = &region;
+  region.run_chunks();
+  tl_region = outer;
+}
+
+/// Persistent worker pool shared by every open region.  A region is open
+/// from the moment its opener publishes it until the opener has claimed
+/// its last chunk; idle workers join the most recently opened region that
+/// still has chunks and room, so nested work runs depth-first.  The opener
+/// then waits for the chunks other threads claimed, and while it waits it
+/// helps only regions opened beneath its own — work its region cannot
+/// finish without — so a wait never stalls on unrelated work and the
+/// help-while-waiting recursion is bounded by the nesting depth.
 class Pool {
  public:
   static Pool& instance() {
@@ -123,23 +160,20 @@ class Pool {
   }
 
   void run(Region& region, int threads) {
-    // One region at a time: concurrent top-level calls from distinct user
-    // threads serialize here instead of clobbering region_.
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
+    region.parent = tl_region;
+    region.helper_cap = threads - 1;
     ensure_workers(threads - 1);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      region_ = &region;
-      active_ = 0;
-      ++generation_;
+      open_.push_back(&region);
     }
-    work_cv_.notify_all();
-    ++tl_region_depth;
-    region.run_chunks();
-    --tl_region_depth;
+    cv_.notify_all();
+    run_in(region);
     std::unique_lock<std::mutex> lock(mutex_);
-    region_ = nullptr;  // late wakers must not join a drained region
-    done_cv_.wait(lock, [&] { return active_ == 0; });
+    open_.erase(std::find(open_.begin(), open_.end(), &region));
+    while (region.helpers > 0) {
+      if (!help(lock, &region)) cv_.wait(lock);
+    }
   }
 
   ~Pool() {
@@ -147,7 +181,7 @@ class Pool {
       std::lock_guard<std::mutex> lock(mutex_);
       shutdown_ = true;
     }
-    work_cv_.notify_all();
+    cv_.notify_all();
     for (auto& w : workers_) w.join();
   }
 
@@ -165,39 +199,43 @@ class Pool {
     }
   }
 
+  /// Join the newest open region with chunks left and room for a helper
+  /// (restricted to descendants of `ancestor` when set), run chunks until
+  /// it drains, and leave.  Called and returns with `lock` held; false
+  /// when there was nothing to join.
+  bool help(std::unique_lock<std::mutex>& lock, const Region* ancestor) {
+    Region* region = nullptr;
+    for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+      Region* r = *it;
+      if (r->helpers < r->helper_cap && r->claimable() &&
+          (ancestor == nullptr || r->descends_from(ancestor))) {
+        region = r;
+        break;
+      }
+    }
+    if (region == nullptr) return false;
+    ++region->helpers;
+    lock.unlock();
+    run_in(*region);
+    lock.lock();
+    // The last helper out releases a waiting opener.
+    if (--region->helpers == 0) cv_.notify_all();
+    return true;
+  }
+
   void worker_loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Region* region = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_cv_.wait(lock,
-                      [&] { return shutdown_ || generation_ != seen; });
-        if (shutdown_) return;
-        seen = generation_;
-        if (region_ == nullptr) continue;  // region already drained
-        region = region_;
-        ++active_;
-      }
-      ++tl_region_depth;
-      region->run_chunks();
-      --tl_region_depth;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --active_;
-      }
-      done_cv_.notify_all();
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!shutdown_) {
+      if (!help(lock, nullptr)) cv_.wait(lock);
     }
   }
 
-  std::mutex run_mutex_;  // serializes top-level regions
   std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
+  /// Signalled when a region opens and when a region's last helper leaves;
+  /// idle workers and waiting openers both sleep on it.
+  std::condition_variable cv_;
   std::vector<std::thread> workers_;
-  Region* region_ = nullptr;  // guarded by mutex_
-  int active_ = 0;            // workers currently inside region_
-  std::uint64_t generation_ = 0;
+  std::vector<Region*> open_;  ///< open regions, oldest first (mutex_)
   bool shutdown_ = false;
 };
 
@@ -224,21 +262,15 @@ int default_threads() {
   return hardware_threads();
 }
 
-bool in_parallel_region() { return tl_region_depth > 0; }
-
-SerialRegionGuard::SerialRegionGuard() { ++tl_region_depth; }
-SerialRegionGuard::~SerialRegionGuard() { --tl_region_depth; }
-
 namespace detail {
 
 bool use_serial(std::size_t n, int& threads, std::uint64_t cost_hint_ns) {
   if (threads == 0) threads = default_threads();
   NC_REQUIRE(threads >= 1, "parallel_for thread count must be >= 1");
   if (threads > kMaxThreads) threads = kMaxThreads;
-  // Serial paths: single thread requested, a degenerate range, a nested
-  // call from inside a worker (rejected from parallelism, run inline), or
-  // an estimated total cost too small to amortize a pool round trip.
-  if (threads == 1 || n == 1 || tl_region_depth > 0) return true;
+  // Serial paths: single thread requested, a degenerate range, or an
+  // estimated total cost too small to amortize a pool round trip.
+  if (threads == 1 || n == 1) return true;
   return cost_hint_ns > 0 && n <= kSerialFallbackNs / cost_hint_ns;
 }
 

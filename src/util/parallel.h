@@ -3,10 +3,10 @@
 // The paper's experiments are embarrassingly parallel enumerations
 // (Section 4 scheme grids, Section 5 size sweeps and menu tuples), so the
 // engine is a chunked fork-join pool: `parallel_for` splits an index range
-// into contiguous chunks which persistent worker threads claim from an
-// atomic counter (chunked self-scheduling, the cheap cousin of work
-// stealing).  The calling thread always participates, so `threads == 1`
-// degrades to a plain serial loop with zero pool traffic.
+// into contiguous chunks which threads claim from an atomic counter
+// (chunked self-scheduling, the cheap cousin of work stealing).  The
+// calling thread always participates, so `threads == 1` degrades to a
+// plain serial loop with zero pool traffic.
 //
 // Determinism contract (what the reduction helpers guarantee):
 //  * `parallel_map` writes result i from task i — output order is index
@@ -15,10 +15,18 @@
 //    ONLY (never the thread count) and merges per-chunk partials in chunk
 //    index order, so even non-associative merges (floating-point sums,
 //    first-wins argmin) produce bit-identical results at any thread count.
-//  * Nested calls are rejected: a `parallel_for` issued from inside a
-//    worker runs inline and serially on that worker (no oversubscription,
-//    no deadlock, and the task keeps exclusive use of any thread-local
-//    state its caller installed).
+//
+// Nesting and concurrency: every parallel call opens a region in the one
+// process-wide pool, wherever it is issued — a user thread, a server
+// worker, or a task already running inside another region.  Idle pool
+// workers join the most recently opened region that has chunks left, so a
+// lone heavy task inside a batch spreads over the cores the rest of the
+// batch left idle.  The opener runs its own chunks, then waits only for the
+// chunks other threads already claimed, helping meanwhile with regions
+// opened beneath its own; that always progresses, never deadlocks — as
+// long as no caller holds a lock across a parallel call that a task of the
+// region also takes.  A task may run on any thread, so thread-local state
+// installed by a caller is not visible inside its tasks.
 //
 // Error contract: the exception at the LOWEST failing index is captured
 // via std::exception_ptr and rethrown on the calling thread after the
@@ -55,23 +63,6 @@ void set_default_threads(int n);
 /// are valid and clamp to it.)
 int default_threads();
 
-/// True while the calling thread is executing inside a parallel region
-/// (its own or one it joined as a worker).  Nested parallel calls made in
-/// this state run serially inline.
-bool in_parallel_region();
-
-/// RAII guard forcing every parallel call issued from the current thread
-/// to run serially for the guard's lifetime.  Used by code that needs a
-/// deterministic single-threaded evaluation order (for example
-/// degradation-event recording outside a buffered sweep).
-class SerialRegionGuard {
- public:
-  SerialRegionGuard();
-  ~SerialRegionGuard();
-  SerialRegionGuard(const SerialRegionGuard&) = delete;
-  SerialRegionGuard& operator=(const SerialRegionGuard&) = delete;
-};
-
 /// Estimated total serial cost (ns) below which forking a region costs
 /// more than it saves: regions with a non-zero cost hint whose estimated
 /// total falls under this threshold run serially.  ~3 ms comfortably
@@ -87,7 +78,7 @@ using RawBody = void (*)(void*, std::size_t);
 
 /// Resolves `threads` in place (0 -> default_threads(), clamped to the
 /// pool cap) and decides whether the region must run serially: single
-/// thread, degenerate range, nested call, or an estimated total cost
+/// thread, degenerate range, or an estimated total cost
 /// (n * cost_hint_ns) under kSerialFallbackNs.
 bool use_serial(std::size_t n, int& threads, std::uint64_t cost_hint_ns);
 
@@ -113,11 +104,11 @@ inline std::size_t reduce_chunk(std::size_t n) {
 /// Run `body(i)` for every i in [0, n), distributing contiguous chunks
 /// over `threads` threads (0 = default_threads()).  `chunk_size == 0`
 /// picks a balanced chunk automatically.  Runs serially when n < 2,
-/// threads == 1, the caller is already inside a parallel region, or
-/// `cost_hint_ns` (estimated serial cost per index, 0 = unknown) says the
-/// whole region is cheaper than a pool round trip — the serial fallback
-/// never changes results, only scheduling (see the determinism contract
-/// above).  `body` is invoked through a per-region function pointer, not a
+/// threads == 1, or `cost_hint_ns` (estimated serial cost per index,
+/// 0 = unknown) says the whole region is cheaper than a pool round trip —
+/// the serial fallback never changes results, only scheduling (see the
+/// determinism contract above).  Called from inside another region's task,
+/// it opens a nested region in the same pool.  `body` is invoked through a per-region function pointer, not a
 /// std::function, so lambdas run with zero per-index type-erasure cost.
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body, int threads = 0,

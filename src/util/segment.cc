@@ -103,8 +103,10 @@ std::unique_ptr<Appender> Appender::create(
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) throw_io("create", path);
   std::unique_ptr<Appender> appender(new Appender(fd, format, false));
-  std::string header = "{" + json::quote(format.magic) +
-                       ":1,\"fingerprint\":" + json::quote(fingerprint);
+  std::string header = "{";
+  header += json::quote(format.magic);
+  header += ":1,\"fingerprint\":";
+  header += json::quote(fingerprint);
   for (const auto& [key, value] : extras) {
     header += ',' + json::quote(key) + ':' + json::quote(value);
   }

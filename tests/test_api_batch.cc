@@ -7,10 +7,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/batch_io.h"
 #include "nanocache/api.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace nanocache::api {
@@ -151,6 +153,32 @@ TEST(ApiBatch, BatchMatchesSequentialAtAnyThreadCount) {
       EXPECT_EQ(response_to_json(batch.responses[i]), baseline[i])
           << "request " << i << " at " << threads << " thread(s)";
     }
+  }
+}
+
+TEST(ApiBatch, HeavyRequestsOpenRegionsInTheSharedPool) {
+  // Each tuple_menu solve fans its menus over the pool from inside the
+  // batch's own region; those nested regions must reach the pool rather
+  // than run serially on the request's thread.
+  ThreadCountGuard guard;
+  par::set_default_threads(4);
+  std::vector<Request> requests;
+  for (const auto& [tox, vth] :
+       std::vector<std::pair<int, int>>{{1, 1}, {1, 2}, {2, 1}, {2, 2}}) {
+    Request r;
+    r.id = "menu-" + std::to_string(tox) + "x" + std::to_string(vth);
+    r.kind = RequestKind::kTupleMenu;
+    r.tuple_menu.num_tox = tox;
+    r.tuple_menu.num_vth = vth;
+    r.tuple_menu.delay.targets_ps = {1700.0};
+    requests.push_back(std::move(r));
+  }
+  auto& regions = metrics::Registry::instance().counter("parallel.regions");
+  const auto before = regions.value();
+  const auto batch = make_service()->run_batch(requests);
+  EXPECT_GT(regions.value() - before, 1u);
+  for (const auto& response : batch.responses) {
+    EXPECT_TRUE(response.ok) << response.error.message;
   }
 }
 

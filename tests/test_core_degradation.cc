@@ -5,6 +5,10 @@
 // visible in the report layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "core/explorer.h"
 #include "core/report.h"
 #include "util/error.h"
@@ -122,6 +126,35 @@ TEST(Degradation, ClearResetsTheLog) {
   // A cleared key logs again on the next occurrence.
   eval(ComponentKind::kCellArray, tech::DeviceKnobs{0.55, 12.0});
   EXPECT_EQ(e.degradation_events().size(), 1u);
+}
+
+TEST(Degradation, LogIsIndependentOfRecordingOrder) {
+  // Two caches, two out-of-domain knob pairs each, recorded in opposite
+  // orders: both logs hold one event per cache, quote the same (least)
+  // reason, and list the caches in the same order.
+  const auto record = [](bool reversed) {
+    const Explorer e = make_fitted_explorer();
+    const auto l1 = e.evaluator(e.l1_model(16 * 1024));
+    const auto l2 = e.evaluator(e.l2_model(1024 * 1024));
+    std::vector<std::function<void()>> steps = {
+        [&] { l1(ComponentKind::kCellArray, tech::DeviceKnobs{0.55, 12.0}); },
+        [&] { l2(ComponentKind::kDecoder, tech::DeviceKnobs{0.35, 15.0}); },
+        [&] { l1(ComponentKind::kCellArray, tech::DeviceKnobs{0.60, 12.0}); },
+        [&] { l2(ComponentKind::kDecoder, tech::DeviceKnobs{0.35, 14.5}); },
+    };
+    if (reversed) std::reverse(steps.begin(), steps.end());
+    for (const auto& step : steps) step();
+    return e.degradation_events();
+  };
+  const auto forward = record(false);
+  const auto backward = record(true);
+  ASSERT_EQ(forward.size(), 2u);
+  ASSERT_EQ(backward.size(), 2u);
+  for (std::size_t i = 0; i < forward.size(); ++i) {
+    EXPECT_EQ(forward[i].model, backward[i].model);
+    EXPECT_EQ(forward[i].reason, backward[i].reason);
+  }
+  EXPECT_NE(forward[0].model, forward[1].model);
 }
 
 TEST(Degradation, SweepRowsCarryInfeasibleReasons) {

@@ -2,7 +2,7 @@
 // library computes must be identical at --threads 1 and --threads 8, down
 // to the exact bytes of the rendered tables.  This is the regression gate
 // for the deterministic-reduction contract (index-order merges, grid-index
-// argmin tie-breaking, buffered degradation logs).
+// argmin tie-breaking, order-independent degradation logs).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -127,23 +127,31 @@ TEST(ParallelDeterminism, SizeSweepAndFig1ReportsBytesIdentical) {
 }
 
 TEST(ParallelDeterminism, FittedPathDegradationLogIdentical) {
-  // The fitted path records degradation events from inside worker threads;
-  // buffered per-task logs merged in index order must make the log (and
-  // its rendering) thread-count invariant.
+  // A grid reaching past the fitted (Vth, Tox) domain makes sweep tasks on
+  // every worker record out-of-domain events concurrently; the log keeps
+  // the least reason per (cache, cause) in key order, so it (and its
+  // rendering) is thread-count invariant.
   const auto run = [](int threads) {
     return with_threads(threads, [] {
       core::ExperimentConfig config;
       config.use_fitted_models = true;
+      config.grid = opt::KnobGrid{
+          {0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60},
+          {10.0, 11.0, 12.0, 13.0, 14.0, 15.0}};
       core::Explorer explorer(config);
       const auto size = explorer.config().l1_size_bytes;
       const auto ladder = explorer.delay_ladder(size, 5);
       std::ostringstream os;
-      os << core::scheme_long_table(explorer.scheme_comparison(size, ladder))
-         << render(core::degradation_table(explorer));
+      os << core::scheme_long_table(explorer.scheme_comparison(size, ladder));
+      EXPECT_FALSE(explorer.degradation_events().empty());
+      os << render(core::degradation_table(explorer));
       return os.str();
     });
   };
-  EXPECT_EQ(run(1), run(8));
+  const std::string serial = run(1);
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_EQ(serial, run(threads)) << "threads=" << threads;
+  }
 }
 
 }  // namespace

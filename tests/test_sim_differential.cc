@@ -106,9 +106,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{4096, 64, 4}, Geometry{8192, 32, 8},
                       Geometry{2048, 64, 2}, Geometry{512, 32, 16}),
     [](const auto& info) {
-      return "s" + std::to_string(info.param.size) + "b" +
-             std::to_string(info.param.block) + "w" +
-             std::to_string(info.param.assoc);
+      std::string name = "s";
+      name += std::to_string(info.param.size);
+      name += 'b';
+      name += std::to_string(info.param.block);
+      name += 'w';
+      name += std::to_string(info.param.assoc);
+      return name;
     });
 
 }  // namespace

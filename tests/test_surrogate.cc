@@ -175,7 +175,8 @@ TEST(SurrogateDifferential, ByteStableAcrossThreadCountsAndReload) {
   workload.push_back(optimize_request(1522.7, Exactness::kAuto, SchemeId::kI));
   workload.push_back(eval_request(0.41, 10.06, Exactness::kExact));
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    workload[i].id = "q" + std::to_string(i);
+    workload[i].id = "q";
+    workload[i].id += std::to_string(i);
   }
   const auto serialized = [&](const BatchResult& batch) {
     std::string bytes;

@@ -1,12 +1,13 @@
 // The parallel engine's contracts: index coverage, deterministic
-// reductions, typed-error propagation, degenerate ranges, and nested-call
-// rejection.
+// reductions, typed-error propagation, degenerate ranges, and nested and
+// concurrent regions sharing the one pool.
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -90,41 +91,85 @@ TEST(ParallelFor, LowestFailingIndexWinsWhenChunksRace) {
   }
 }
 
-TEST(ParallelFor, NestedCallsCollapseToSerialInline) {
-  std::atomic<int> nested_parallel{0};
-  std::atomic<int> total{0};
+TEST(ParallelFor, NestedRegionRunsOnIdleWorkers) {
+  // Outer task 0 opens a nested region while tasks 1..3 finish at once.
+  // Index 0 of the nested region waits until another thread has run one
+  // of its indices, which only an idle worker joining the region can do.
+  std::atomic<int> others{0};
+  std::vector<std::size_t> squares;
   par::parallel_for(
-      8,
-      [&](std::size_t) {
-        EXPECT_TRUE(par::in_parallel_region());
-        const auto worker = std::this_thread::get_id();
-        par::parallel_for(
-            16,
-            [&](std::size_t) {
-              total.fetch_add(1);
-              // Inner work must stay on the worker that issued it.
-              if (std::this_thread::get_id() != worker) {
-                nested_parallel.fetch_add(1);
+      4,
+      [&](std::size_t outer) {
+        if (outer != 0) return;
+        const auto opener = std::this_thread::get_id();
+        squares = par::parallel_map(
+            64,
+            [&](std::size_t i) {
+              if (std::this_thread::get_id() != opener) {
+                others.fetch_add(1);
+              } else if (i == 0) {
+                const auto deadline =
+                    std::chrono::steady_clock::now() + std::chrono::seconds(5);
+                while (others.load() == 0 &&
+                       std::chrono::steady_clock::now() < deadline) {
+                  std::this_thread::yield();
+                }
               }
+              return i * i;
             },
-            /*threads=*/8);
+            /*threads=*/4, /*chunk_size=*/1);
       },
-      /*threads=*/4);
-  EXPECT_EQ(nested_parallel.load(), 0);
-  EXPECT_EQ(total.load(), 8 * 16);
+      /*threads=*/4, /*chunk_size=*/1);
+  EXPECT_GT(others.load(), 0);
+  ASSERT_EQ(squares.size(), 64u);
+  for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
 }
 
-TEST(SerialRegionGuard, ForcesInlineExecution) {
-  EXPECT_FALSE(par::in_parallel_region());
-  {
-    par::SerialRegionGuard serial;
-    EXPECT_TRUE(par::in_parallel_region());
-    const auto caller = std::this_thread::get_id();
-    par::parallel_for(100, [&](std::size_t) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-    });
+TEST(ParallelFor, ThreeLevelNestingCompletes) {
+  std::vector<std::atomic<int>> hits(4 * 5 * 6);
+  par::parallel_for(
+      4,
+      [&](std::size_t a) {
+        par::parallel_for(
+            5,
+            [&](std::size_t b) {
+              par::parallel_for(
+                  6, [&](std::size_t c) { hits[(a * 5 + b) * 6 + c] += 1; },
+                  /*threads=*/4, /*chunk_size=*/1);
+            },
+            /*threads=*/4, /*chunk_size=*/1);
+      },
+      /*threads=*/4, /*chunk_size=*/1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, NestedErrorSurfacesLowestIndex) {
+  // Outer task 3's nested region fails at 17 and 60; outer task 5 fails
+  // too.  The serial loop would hit task 3's nested index 17 first.
+  for (const int threads : {1, 2, 4, 8}) {
+    try {
+      par::parallel_for(
+          8,
+          [](std::size_t outer) {
+            if (outer == 5) throw Error(ErrorCategory::kInternal, "outer 5");
+            if (outer != 3) return;
+            par::parallel_for(
+                100,
+                [](std::size_t i) {
+                  if (i == 17 || i == 60) {
+                    throw Error(ErrorCategory::kNumericDomain,
+                                "inner " + std::to_string(i));
+                  }
+                },
+                /*threads=*/4, /*chunk_size=*/1);
+          },
+          threads, /*chunk_size=*/1);
+      FAIL() << "expected an error";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "[numeric-domain] inner 17")
+          << "threads=" << threads;
+    }
   }
-  EXPECT_FALSE(par::in_parallel_region());
 }
 
 TEST(ParallelMap, ResultsInIndexOrder) {
@@ -186,6 +231,36 @@ TEST(ParallelReduce, FirstWinsArgminMatchesSerialScan) {
     const auto b = argmin_at(threads);
     EXPECT_EQ(b.idx, serial.idx) << "threads=" << threads;
     EXPECT_EQ(b.v, serial.v) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelReduce, ConcurrentCallersAreBitIdenticalToSerial) {
+  // Four user threads open regions in the one pool at the same time; each
+  // non-associative fold must still match its serial value bit for bit.
+  const auto sum = [](std::size_t n, int threads) {
+    return par::parallel_reduce(
+        n, 0.0,
+        [](double& acc, std::size_t i) {
+          acc += std::sin(static_cast<double>(i)) * 1e-3;
+        },
+        [](double& into, double from) { into += from; }, threads);
+  };
+  std::vector<double> serial;
+  for (std::size_t t = 0; t < 4; ++t) serial.push_back(sum(5'000 + t, 1));
+  std::vector<std::vector<double>> got(4);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) got[t].push_back(sum(5'000 + t, 4));
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (const double v : got[t]) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                std::bit_cast<std::uint64_t>(serial[t]))
+          << "caller " << t;
+    }
   }
 }
 

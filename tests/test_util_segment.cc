@@ -189,6 +189,13 @@ Loaded load(const std::string& path,
   return loaded;
 }
 
+/// Entry i of a test segment: {"a<i>", "b<i>"}.
+std::vector<std::string> entry(int i) {
+  std::vector<std::string> values = {"a", "b"};
+  for (auto& v : values) v += std::to_string(i);
+  return values;
+}
+
 /// A segment of `kTestFormat` holding a0/b0 .. a<n-1>/b<n-1>.
 std::string write_entries(const fs::path& dir, int n) {
   const std::string path = segment::path(dir.string(), kTestFormat,
@@ -196,9 +203,8 @@ std::string write_entries(const fs::path& dir, int n) {
   auto out = segment::Appender::create(path, kTestFormat, kFingerprint,
                                        {{"stamp", "s1"}, {"note", "x"}});
   for (int i = 0; i < n; ++i) {
-    const std::string a = "a" + std::to_string(i);
-    const std::string b = "b" + std::to_string(i);
-    EXPECT_TRUE(out->append({a, b}));
+    const auto values = entry(i);
+    EXPECT_TRUE(out->append({values[0], values[1]}));
   }
   return path;
 }
@@ -207,7 +213,7 @@ std::vector<std::vector<std::string>> expected_entries(
     std::initializer_list<int> indices) {
   std::vector<std::vector<std::string>> out;
   for (const int i : indices) {
-    out.push_back({"a" + std::to_string(i), "b" + std::to_string(i)});
+    out.push_back(entry(i));
   }
   return out;
 }
