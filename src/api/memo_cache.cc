@@ -23,18 +23,17 @@ std::shared_ptr<const void> MemoCache::lookup(const std::string& key) {
   static auto& memo_misses =
       metrics::Registry::instance().counter("api.memo.misses");
   Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  for (;;) {
     const auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       shard.hits.fetch_add(1, std::memory_order_relaxed);
       memo_hits.add(1);
       return it->second;
     }
+    if (shard.in_flight.insert(key).second) break;
+    shard.published.wait(lock);
   }
-  // Counters are relaxed atomics, so the miss increment no longer needs
-  // the entry-map critical section: stats() reads never contend with the
-  // lookup path.
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   memo_misses.add(1);
   return nullptr;
@@ -43,9 +42,23 @@ std::shared_ptr<const void> MemoCache::lookup(const std::string& key) {
 std::shared_ptr<const void> MemoCache::publish(
     const std::string& key, std::shared_ptr<const void> value) {
   Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto [it, inserted] = shard.entries.emplace(key, std::move(value));
-  return it->second;
+  std::shared_ptr<const void> stored;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    stored = shard.entries.emplace(key, std::move(value)).first->second;
+    shard.in_flight.erase(key);
+  }
+  shard.published.notify_all();
+  return stored;
+}
+
+void MemoCache::abandon(const std::string& key) {
+  Shard& shard = shard_for(key);
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.in_flight.erase(key);
+  }
+  shard.published.notify_all();
 }
 
 }  // namespace nanocache::api

@@ -10,11 +10,13 @@
 // Concurrency: the entry map is lock-striped into kShards shards selected
 // by the canonical-key hash, so concurrent lookups on distinct keys almost
 // never contend.  The compute callback runs OUTSIDE
-// any lock so slow model evaluations don't serialize the pool.  Two
-// threads racing on the same key may both compute; the first insert wins
-// and both receive the winning (deterministic, bitwise-identical) value.
+// any lock so slow model evaluations don't serialize the pool.  A key is
+// computed once: a thread asking for a key another thread is computing
+// waits for that result (and counts a hit) instead of computing it again.
+// Waiting cannot deadlock, because a computation never needs its own key.
+// If the computation throws, one waiter takes the key over and computes.
 // Hit/miss counters are relaxed per-shard atomics folded into one Stats
-// snapshot — they are timing-dependent and feed reporting, never results.
+// snapshot — they feed reporting, never results.
 // A snapshot taken concurrently with lookups is approximately consistent
 // (each shard's pair is read without stopping traffic); every completed
 // lookup is counted exactly once.
@@ -22,12 +24,14 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace nanocache::api {
@@ -55,9 +59,14 @@ class MemoCache {
     if (auto hit = lookup(key)) {
       return std::static_pointer_cast<const T>(hit);
     }
-    std::shared_ptr<const T> fresh = compute();
-    const auto winner = publish(key, fresh);
-    return std::static_pointer_cast<const T>(winner);
+    std::shared_ptr<const T> fresh;
+    try {
+      fresh = compute();
+    } catch (...) {
+      abandon(key);
+      throw;
+    }
+    return std::static_pointer_cast<const T>(publish(key, std::move(fresh)));
   }
 
   Stats stats() const;
@@ -70,7 +79,9 @@ class MemoCache {
   /// never invalidates a neighbour's counters.
   struct alignas(64) Shard {
     std::mutex mutex;
+    std::condition_variable published;  ///< an in-flight key settled
     std::unordered_map<std::string, std::shared_ptr<const void>> entries;
+    std::unordered_set<std::string> in_flight;  ///< keys being computed
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> misses{0};
   };
@@ -79,13 +90,18 @@ class MemoCache {
     return shards_[std::hash<std::string>{}(key) & (kShards - 1)];
   }
 
-  /// nullptr on miss (miss counter bumped); the stored value on hit.
+  /// The stored value on hit, waiting first while another thread computes
+  /// `key`; nullptr on miss (miss counter bumped), after which the caller
+  /// owns the computation and must publish() or abandon() the key.
   std::shared_ptr<const void> lookup(const std::string& key);
 
-  /// Insert `value` unless another thread won the race; returns the entry
-  /// that ended up (or already was) in the cache.
+  /// Store the value of a key the caller computed, wake its waiters, and
+  /// return the stored entry.
   std::shared_ptr<const void> publish(const std::string& key,
                                       std::shared_ptr<const void> value);
+
+  /// Release a key whose computation failed, waking its waiters.
+  void abandon(const std::string& key);
 
   mutable std::array<Shard, kShards> shards_;
 };

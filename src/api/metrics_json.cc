@@ -22,12 +22,13 @@ void append_field(std::string& out, std::string_view name,
   out += raw;
 }
 
-/// Append `{"name":value,...}` for an ordered name -> value map.
+/// Append `"name":{"member":render(value),...}` for an ordered map.
 template <typename Map, typename Render>
-void append_object(std::string& out, const Map& members, Render render) {
-  out += '{';
-  for (const auto& [name, value] : members) {
-    append_field(out, name, render(value));
+void append_object(std::string& out, std::string_view name,
+                   const Map& members, Render render) {
+  append_field(out, name, "{");
+  for (const auto& [member, value] : members) {
+    append_field(out, member, render(value));
   }
   out += '}';
 }
@@ -102,14 +103,10 @@ std::string metrics_to_json(const metrics::MetricsSnapshot& snapshot,
   const auto integer = [](const auto& v) { return std::to_string(v); };
   std::string out = "{";
   append_field(out, "schema_version", "1");
-  append_field(out, "counters", "");
-  append_object(out, snapshot.counters, integer);
-  append_field(out, "gauges", "");
-  append_object(out, snapshot.gauges, integer);
-  append_field(out, "histograms", "");
-  append_object(out, snapshot.histograms, histogram_json);
-  append_field(out, "phases", "");
-  append_object(out, snapshot.phases, phase_json);
+  append_object(out, "counters", snapshot.counters, integer);
+  append_object(out, "gauges", snapshot.gauges, integer);
+  append_object(out, "histograms", snapshot.histograms, histogram_json);
+  append_object(out, "phases", snapshot.phases, phase_json);
   append_field(out, "spans", "[");
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) out += ',';

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,8 +54,8 @@ TEST(MemoCache, ConcurrentLookupsAgreeAndCountExactly) {
   }
   for (auto& thread : threads) thread.join();
 
-  // Racing first-inserts may compute a key twice, but everyone must end up
-  // holding the one published object, with the right value.
+  // Everyone must end up holding the one published object, with the right
+  // value.
   for (int k = 0; k < kKeys; ++k) {
     for (int t = 0; t < kThreads; ++t) {
       ASSERT_NE(got[t][k], nullptr);
@@ -66,7 +69,41 @@ TEST(MemoCache, ConcurrentLookupsAgreeAndCountExactly) {
   // Every completed lookup is exactly one hit or one miss.
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::size_t>(kThreads) * kRounds * kKeys);
-  EXPECT_GE(stats.misses, static_cast<std::size_t>(kKeys));
+  // A key is computed once: threads racing on it wait for the first.
+  EXPECT_EQ(stats.misses, static_cast<std::size_t>(kKeys));
+}
+
+TEST(MemoCache, ConcurrentRequestsForOneKeyComputeItOnce) {
+  constexpr int kThreads = 8;
+  MemoCache cache;
+  std::atomic<int> computed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      cache.get_or_compute<int>("opt|slow", [&] {
+        computed.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::make_shared<const int>(1);
+      });
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(computed.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::size_t>(kThreads - 1));
+}
+
+TEST(MemoCache, FailedComputationLetsTheNextCallerCompute) {
+  MemoCache cache;
+  EXPECT_THROW(cache.get_or_compute<int>(
+                   "opt|k",
+                   []() -> std::shared_ptr<const int> {
+                     throw std::runtime_error("boom");
+                   }),
+               std::runtime_error);
+  const auto value = cache.get_or_compute<int>(
+      "opt|k", [] { return std::make_shared<const int>(3); });
+  EXPECT_EQ(*value, 3);
 }
 
 }  // namespace
