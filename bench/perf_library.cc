@@ -5,9 +5,10 @@
 //   perf_library --emit-json [path]
 // runs the scheme-comparison and tuple-menu sweeps plus a 100-request
 // batched-service workload at 1/2/4/8 threads through the public
-// nanocache::api facade, checks the serialized results are byte-identical
-// at every thread count, and writes wall time, speedup, batch throughput
-// and memoization hit rate as JSON (default: BENCH_parallel_sweep.json).
+// nanocache::api facade, five trials each on a fresh service, checks the
+// serialized results are byte-identical at every thread count, and writes
+// every trial's wall time, the median, speedup, batch throughput and
+// memoization hit rate as JSON (default: BENCH_parallel_sweep.json).
 // It also writes BENCH_pruned_search.json: pruned-vs-exhaustive combo
 // accounting (byte-identity + reduction ratio) and a cold/warm disk-cache
 // pass over the batch workload (persistent hit rate + byte-identity), and
@@ -189,28 +190,61 @@ BENCHMARK(BM_DecaySimulation)->Arg(0)->Arg(1024);
 
 // --- parallel-sweep timing harness ------------------------------------------
 
-/// One timed sweep: returns wall seconds and a result fingerprint (the
-/// rendered report, so "identical output" means byte-identical text).
+/// Trials per workload and thread count.  Each trial runs on a fresh
+/// service; rows report, and the gate reads, the median trial, so one
+/// trial landing on a busy host moment does not decide the verdict.
+constexpr int kTrials = 5;
+
+/// One trial: wall seconds of its timed part and its serialized output.
+struct Trial {
+  double wall_s = 0.0;
+  std::string bytes;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// A workload timed kTrials times at one thread count: every trial's wall,
+/// their median, and the output fingerprint (the serialized bytes, so
+/// "identical output" means byte-identical text), which must not vary
+/// between trials.
 struct SweepSample {
+  std::vector<double> trials_s;
   double wall_s = 0.0;
   std::string fingerprint;
+  bool repeatable = true;
 };
 
 template <typename Fn>
-SweepSample time_sweep(Fn&& render) {
-  // Min of three runs: wall-clock minimum is the standard noise-resistant
-  // estimator for a deterministic workload.
+SweepSample time_trials(Fn&& trial) {
   SweepSample s;
-  s.wall_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    s.fingerprint = render();
-    s.wall_s = std::min(
-        s.wall_s, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
+  for (int rep = 0; rep < kTrials; ++rep) {
+    Trial t = trial();
+    s.trials_s.push_back(t.wall_s);
+    if (rep == 0) {
+      s.fingerprint = std::move(t.bytes);
+    } else if (t.bytes != s.fingerprint) {
+      s.repeatable = false;
+    }
   }
+  auto sorted = s.trials_s;
+  std::sort(sorted.begin(), sorted.end());
+  s.wall_s = sorted[sorted.size() / 2];
   return s;
+}
+
+/// `"trials_s": [a, b, ...]` for one sample.
+std::string trials_json(const SweepSample& s) {
+  std::ostringstream out;
+  out << "\"trials_s\": [";
+  for (std::size_t i = 0; i < s.trials_s.size(); ++i) {
+    out << (i > 0 ? ", " : "") << s.trials_s[i];
+  }
+  out << "]";
+  return out.str();
 }
 
 /// Fresh facade service (its memo cache starts empty, so every timed run
@@ -286,25 +320,45 @@ std::vector<api::Request> batch_workload() {
 }
 
 int emit_parallel_sweep_json(const std::string& path) {
-  // Sweep requests served through the facade; fingerprints are the
-  // serialized response bytes, so "identical" means byte-identical JSONL.
+  // Sweep requests served through the facade on a fresh service per trial;
+  // fingerprints are the serialized response bytes, so "identical" means
+  // byte-identical JSONL.
+  const auto serve_trial = [](const api::Request& request) {
+    const auto start = std::chrono::steady_clock::now();
+    auto bytes = api::response_to_json(fresh_service()->serve(request));
+    return Trial{seconds_since(start), std::move(bytes)};
+  };
   api::Request schemes_request;
   schemes_request.kind = api::RequestKind::kSweep;
   schemes_request.sweep.kind = api::SweepKind::kSchemes;
-  const auto render_schemes = [&] {
-    return api::response_to_json(fresh_service()->serve(schemes_request));
-  };
   api::Request tuple_request;
   tuple_request.kind = api::RequestKind::kTupleMenu;
   tuple_request.tuple_menu.include_frontier = true;
-  const auto render_tuples = [&] {
-    return api::response_to_json(fresh_service()->serve(tuple_request));
+
+  // Batched-service workload: run_batch on a fresh service is the timed
+  // part; the 1-thread dedup/memoization accounting is recorded (the
+  // hit/miss split can shift under concurrency; responses cannot).
+  const auto workload = batch_workload();
+  api::BatchStats batch_stats;
+  int threads = 1;
+  const auto batch_trial = [&] {
+    const auto service = fresh_service();
+    const auto start = std::chrono::steady_clock::now();
+    const auto result = service->run_batch(workload);
+    Trial t{seconds_since(start), {}};
+    for (const auto& response : result.responses) {
+      t.bytes += api::response_to_json(response);
+      t.bytes += '\n';
+    }
+    if (threads == 1) batch_stats = result.stats;
+    return t;
   };
 
   // Untimed warmup: first-run lazy initialization (allocator arenas) must
   // not inflate the threads=1 baseline.
-  render_schemes();
-  render_tuples();
+  serve_trial(schemes_request);
+  serve_trial(tuple_request);
+  batch_trial();
 
   // Rows with more workers than the host has hardware threads cannot show
   // real parallel speedup (the extra workers just time-slice); they are
@@ -318,54 +372,22 @@ int emit_parallel_sweep_json(const std::string& path) {
     SweepSample sample;
   };
   std::vector<Row> rows;
+  std::vector<Row> batch_runs;
   bool deterministic = true;
-  std::string baseline_schemes, baseline_tuples;
-  for (int threads : {1, 2, 4, 8}) {
-    par::set_default_threads(threads);
-    const auto s = time_sweep(render_schemes);
-    const auto t = time_sweep(render_tuples);
-    if (threads == 1) {
-      baseline_schemes = s.fingerprint;
-      baseline_tuples = t.fingerprint;
-    } else if (s.fingerprint != baseline_schemes ||
-               t.fingerprint != baseline_tuples) {
-      deterministic = false;
-    }
-    rows.push_back({"scheme_comparison", threads, s});
-    rows.push_back({"tuple_menu", threads, t});
-  }
-
-  // Batched-service workload: throughput per thread count, byte-identity
-  // across thread counts, and the t=1 dedup/memoization accounting (the
-  // hit/miss split can shift under concurrency; responses cannot).
-  const auto workload = batch_workload();
-  struct BatchRun {
-    int threads;
-    double wall_s;
+  const auto check = [&](const SweepSample& s, const std::string& baseline) {
+    deterministic = deterministic && s.repeatable && s.fingerprint == baseline;
   };
-  std::vector<BatchRun> batch_runs;
-  api::BatchStats batch_stats;
-  std::string batch_baseline;
-  for (int threads : {1, 2, 4, 8}) {
+  for (const int t : {1, 2, 4, 8}) {
+    threads = t;
     par::set_default_threads(threads);
-    const auto service = fresh_service();
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = service->run_batch(workload);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    std::string bytes;
-    for (const auto& response : result.responses) {
-      bytes += api::response_to_json(response);
-      bytes += '\n';
-    }
-    if (threads == 1) {
-      batch_baseline = bytes;
-      batch_stats = result.stats;
-    } else if (bytes != batch_baseline) {
-      deterministic = false;
-    }
-    batch_runs.push_back({threads, wall});
+    rows.push_back({"scheme_comparison", threads,
+                    time_trials([&] { return serve_trial(schemes_request); })});
+    rows.push_back({"tuple_menu", threads,
+                    time_trials([&] { return serve_trial(tuple_request); })});
+    batch_runs.push_back({"batch", threads, time_trials(batch_trial)});
+    check(rows[rows.size() - 2].sample, rows[0].sample.fingerprint);
+    check(rows.back().sample, rows[1].sample.fingerprint);
+    check(batch_runs.back().sample, batch_runs[0].sample.fingerprint);
   }
   par::set_default_threads(0);
 
@@ -375,16 +397,16 @@ int emit_parallel_sweep_json(const std::string& path) {
     return 1;
   }
   // Throughput gate: on a multicore host, the best measured multi-thread
-  // batch run must reach at least 0.9x single-thread throughput — the
-  // regression this harness exists to catch is parallel mode being SLOWER
-  // than serial.  Single-core hosts (and oversubscribed rows) can't
-  // measure scaling, so the gate passes vacuously there.
+  // batch median must reach at least 0.9x the single-thread median's
+  // throughput — the regression this harness exists to catch is parallel
+  // mode being SLOWER than serial.  Single-core hosts (and oversubscribed
+  // rows) can't measure scaling, so the gate passes vacuously there.
   double single_wall = 0.0;
   double best_multi_wall = std::numeric_limits<double>::infinity();
   for (const auto& r : batch_runs) {
-    if (r.threads == 1) single_wall = r.wall_s;
+    if (r.threads == 1) single_wall = r.sample.wall_s;
     if (r.threads > 1 && r.threads <= hw) {
-      best_multi_wall = std::min(best_multi_wall, r.wall_s);
+      best_multi_wall = std::min(best_multi_wall, r.sample.wall_s);
     }
   }
   const bool gate_applicable =
@@ -396,6 +418,7 @@ int emit_parallel_sweep_json(const std::string& path) {
 
   out << "{\n"
       << "  \"hardware_threads\": " << hw << ",\n"
+      << "  \"trials_per_row\": " << kTrials << ",\n"
       << "  \"deterministic_across_thread_counts\": "
       << (deterministic ? "true" : "false") << ",\n"
       << "  \"multi_thread_speedup\": " << multi_speedup << ",\n"
@@ -411,7 +434,8 @@ int emit_parallel_sweep_json(const std::string& path) {
     }
     out << "    {\"name\": \"" << r.name << "\", \"threads\": " << r.threads
         << ", \"hardware_threads\": " << hw
-        << ", \"wall_s\": " << r.sample.wall_s << ", \"speedup\": "
+        << ", \"wall_s\": " << r.sample.wall_s << ", "
+        << trials_json(r.sample) << ", \"speedup\": "
         << (r.sample.wall_s > 0.0 ? base / r.sample.wall_s : 0.0)
         << (r.threads > hw ? ", \"unmeasured\": true" : "") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -429,10 +453,10 @@ int emit_parallel_sweep_json(const std::string& path) {
     const auto& r = batch_runs[i];
     out << "      {\"threads\": " << r.threads
         << ", \"hardware_threads\": " << hw
-        << ", \"wall_s\": " << r.wall_s
-        << ", \"requests_per_s\": "
-        << (r.wall_s > 0.0
-                ? static_cast<double>(batch_stats.requests) / r.wall_s
+        << ", \"wall_s\": " << r.sample.wall_s << ", "
+        << trials_json(r.sample) << ", \"requests_per_s\": "
+        << (r.sample.wall_s > 0.0
+                ? static_cast<double>(batch_stats.requests) / r.sample.wall_s
                 : 0.0)
         << (r.threads > hw ? ", \"unmeasured\": true" : "")
         << "}" << (i + 1 < batch_runs.size() ? "," : "") << "\n";

@@ -150,8 +150,9 @@ std::vector<T> pareto_min3(std::vector<T> items, FX fx, FY fy, FZ fz) {
 }
 
 /// Evenly thin `items` (assumed sorted along the sweep axis) down to at
-/// most `cap` entries, always keeping the first and last.  Used to bound DP
-/// state growth; a documented approximation.
+/// most `cap` entries, always keeping the first and last.  Output thinning
+/// only (a reported frontier's point budget): it picks by position, so it
+/// must never thin DP state.
 template <typename T>
 void thin_to(std::vector<T>& items, std::size_t cap) {
   if (cap < 2 || items.size() <= cap) return;

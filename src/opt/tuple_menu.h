@@ -4,19 +4,25 @@
 // cache components (4 per level) of an L1+L2+memory system so total energy
 // per access is minimized subject to an AMAT constraint.
 //
-// Solved exactly per menu by Pareto-filtered DP over
+// Solved exactly per menu by an uncapped Pareto-filtered DP over
 // (AMAT-weighted delay, leakage, weighted dynamic energy); menus are
 // enumerated exhaustively over grid subsets.
 //
 // One `solve` per spec enumerates every menu once and keeps only the weak
-// (AMAT, energy) front of all designs: a design survives iff no design
-// sorting before it in the stable (AMAT, energy, enumeration) order has
-// strictly lower energy.  Each menu is reduced to its own weak front
-// inside its parallel task, and the concatenated per-menu fronts are
-// reduced once more.  The minimum AMAT, the first-enumerated minimum-energy
-// design at any target and the Pareto frontier all lie on that set, so
-// `MenuFront` answers every query exactly as a scan over all designs would
-// (docs/MODELING.md §10a).
+// (AMAT, energy) front of all designs: a design survives iff no design has
+// AMAT <= its AMAT and strictly lower energy.  The minimum AMAT, the
+// first-enumerated minimum-energy design at any target and the Pareto
+// frontier all lie on that set, so `MenuFront` answers every query exactly
+// as a scan over all designs would.
+//
+// A spec is seeded by its sub-spec (max(1, tox-1), max(1, vth-1)), solved
+// the same way down to 1x1: each sub-spec design is a real design of the
+// spec, so its Pareto frontier is an incumbent staircase.  Every DP drops a
+// product state whose completion lower bound (the partial sums plus the
+// per-component minima of the remaining options, rounded the way the
+// designs are) is strictly beaten by an incumbent; no design such a state
+// could complete is on the weak front, so the front, its order and its menu
+// labels are unchanged (docs/MODELING.md §10a).
 #pragma once
 
 #include <optional>
@@ -72,19 +78,14 @@ class TupleMenuSolver {
   /// evaluators default to the structural models of each level.
   TupleMenuSolver(const energy::MemorySystemModel& system, KnobGrid grid);
 
-  /// Enumerate every menu of the spec's cardinality once (menus fan out
-  /// over the pool; output is identical at any thread count).
+  /// Enumerate every menu of the spec's cardinality once, after the seed
+  /// chain of sub-specs (menus fan out over the pool; output is identical
+  /// at any thread count).
   MenuFront solve(const MenuSpec& spec) const;
 
  private:
-  std::vector<SystemDesignPoint> menu_front(
-      const std::vector<double>& vth_menu,
-      const std::vector<double>& tox_menu) const;
-
   const energy::MemorySystemModel& system_;
   KnobGrid grid_;
-  /// DP state cap per combine step (documented approximation knob).
-  std::size_t state_cap_ = 4096;
 };
 
 }  // namespace nanocache::opt

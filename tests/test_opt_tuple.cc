@@ -1,14 +1,20 @@
 // Tests for the (Tox, Vth) tuple-menu solver: feasibility, constraint
 // satisfaction, monotonicity in menu cardinality, agreement with a
 // brute-force assignment search on a tiny instance, and the Figure 2
-// orderings.
+// orderings, and a full-enumeration differential check of the pruned
+// solve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <numeric>
 
 #include "energy/memory_system.h"
 #include "opt/tuple_menu.h"
 #include "util/error.h"
+#include "util/metrics.h"
+#include "util/parallel.h"
 
 namespace nanocache::opt {
 namespace {
@@ -90,10 +96,10 @@ TEST(TupleSolver, MoreMenuFreedomNeverHurts) {
   const auto e22 = solver.solve({2, 2}).best_at(t);
   const auto e33 = solver.solve({3, 3}).best_at(t);
   ASSERT_TRUE(e11 && e22 && e33);
-  // Supersets of menus can only improve the optimum (DP is exact up to the
-  // documented thinning; allow a hair of slack for it).
-  EXPECT_LE(e22->energy_j, e11->energy_j * 1.02);
-  EXPECT_LE(e33->energy_j, e22->energy_j * 1.02);
+  // Supersets of menus can only improve the optimum: every smaller-menu
+  // design is a design of the larger spec, and the DP is exact.
+  EXPECT_LE(e22->energy_j, e11->energy_j);
+  EXPECT_LE(e33->energy_j, e22->energy_j);
 }
 
 TEST(TupleSolver, EnergyMatchesSystemEvaluation) {
@@ -138,6 +144,158 @@ TEST(TupleSolver, MatchesBruteForceOnTinyInstance) {
     }
   }
   EXPECT_NEAR(fast->energy_j, best_energy, best_energy * 1e-6);
+}
+
+/// One fully enumerated design: its totals and the index of its menu.
+struct BruteDesign {
+  double amat_s;
+  double energy_j;
+  std::size_t menu;
+};
+
+/// Totals of one assignment (pair index per system component), summed in
+/// the solver's order: components 0..7 left to right from zero, L2 delay
+/// and dynamic energy weighted by the L1 miss rate.
+std::pair<double, double> brute_totals(
+    const energy::MemorySystemModel& system,
+    const std::array<cachemodel::ComponentMetrics, 8>& metrics) {
+  const double ml1 = system.miss().l1;
+  double wdelay = 0.0;
+  double leakage = 0.0;
+  double wdyn = 0.0;
+  for (std::size_t c = 0; c < 8; ++c) {
+    const auto& m = metrics[c];
+    wdelay += c < 4 ? m.delay_s : m.delay_s * ml1;
+    leakage += m.leakage_w;
+    wdyn += c < 4 ? m.dynamic_energy_j : m.dynamic_energy_j * ml1;
+  }
+  const double amat = wdelay + system.memory_amat_term_s();
+  const double leak = leakage + system.memory().background_power_w;
+  return {amat, wdyn + system.memory_dynamic_energy_j() + leak * amat};
+}
+
+cachemodel::ComponentMetrics component_of(
+    const energy::MemorySystemModel& system, std::size_t c,
+    const tech::DeviceKnobs& knobs) {
+  const auto kind = static_cast<ComponentKind>(c % 4);
+  return c < 4 ? system.l1().component(kind, knobs)
+               : system.l2().component(kind, knobs);
+}
+
+TEST(TupleSolver, PrunedSolveMatchesFullEnumeration) {
+  // 3 Vth x 2 Tox, spec 2x2: 3 menus of 4^8 designs each, every one
+  // enumerated.  The solve (seeded by 1x1, bound-pruned, uncapped DP) must
+  // answer min-AMAT, best-at (energy and menu) and the full frontier
+  // (AMAT, energy, menu) exactly as a scan over all designs, at 1 and 8
+  // threads.
+  const auto& f = fixture();
+  KnobGrid grid;
+  grid.vth_values = {0.25, 0.35, 0.45};
+  grid.tox_values = {11.0, 13.0};
+  const auto tox_menus = choose_subsets(grid.tox_values, 2);
+  const auto vth_menus = choose_subsets(grid.vth_values, 2);
+
+  std::vector<BruteDesign> all;
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> labels;
+  for (const auto& tox_menu : tox_menus) {
+    for (const auto& vth_menu : vth_menus) {
+      const auto pairs = menu_pairs(vth_menu, tox_menu);
+      std::vector<std::array<cachemodel::ComponentMetrics, 8>> table(
+          pairs.size());
+      for (std::size_t p = 0; p < pairs.size(); ++p) {
+        for (std::size_t c = 0; c < 8; ++c) {
+          table[p][c] = component_of(*f.system, c, pairs[p]);
+        }
+      }
+      const std::size_t menu = labels.size();
+      labels.emplace_back(tox_menu, vth_menu);
+      std::array<cachemodel::ComponentMetrics, 8> metrics;
+      for (std::size_t code = 0; code < (std::size_t{1} << 16); ++code) {
+        for (std::size_t c = 0; c < 8; ++c) {
+          metrics[c] = table[(code >> (2 * c)) & 3][c];
+        }
+        const auto [amat, energy] = brute_totals(*f.system, metrics);
+        all.push_back({amat, energy, menu});
+      }
+    }
+  }
+  ASSERT_EQ(all.size(), 3u * 65536u);
+
+  double min_amat = all.front().amat_s;
+  double max_amat = all.front().amat_s;
+  for (const auto& d : all) {
+    min_amat = std::min(min_amat, d.amat_s);
+    max_amat = std::max(max_amat, d.amat_s);
+  }
+  // Strict (AMAT, energy) frontier, first enumerated on exact ties.
+  std::vector<std::size_t> order(all.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (all[a].amat_s != all[b].amat_s) {
+                       return all[a].amat_s < all[b].amat_s;
+                     }
+                     return all[a].energy_j < all[b].energy_j;
+                   });
+  std::vector<BruteDesign> frontier;
+  for (const std::size_t i : order) {
+    if (frontier.empty() || all[i].energy_j < frontier.back().energy_j) {
+      frontier.push_back(all[i]);
+    }
+  }
+  ASSERT_GT(frontier.size(), 20u);
+  std::vector<double> targets;
+  for (int i = 0; i <= 24; ++i) {
+    targets.push_back(min_amat * 0.99 + (max_amat - min_amat * 0.99) * i / 24);
+  }
+  for (std::size_t i = 0; i < frontier.size(); i += 5) {
+    targets.push_back(frontier[i].amat_s);
+  }
+
+  auto& pruned =
+      metrics::Registry::instance().counter("opt.menu_states_pruned");
+  for (const int threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const auto pruned0 = pruned.value();
+    const auto front = TupleMenuSolver(*f.system, grid).solve({2, 2});
+    par::set_default_threads(0);
+    EXPECT_GT(pruned.value(), pruned0) << "the 1x1 seed pruned nothing";
+    EXPECT_EQ(front.min_amat_s(), min_amat) << threads;
+
+    for (const double target : targets) {
+      const BruteDesign* best = nullptr;
+      for (const auto& d : all) {
+        if (d.amat_s > target) continue;
+        if (best == nullptr || d.energy_j < best->energy_j) best = &d;
+      }
+      const auto got = front.best_at(target);
+      ASSERT_EQ(got.has_value(), best != nullptr) << threads << " " << target;
+      if (best == nullptr) continue;
+      EXPECT_EQ(got->energy_j, best->energy_j) << threads << " " << target;
+      EXPECT_EQ(got->tox_menu, labels[best->menu].first) << target;
+      EXPECT_EQ(got->vth_menu, labels[best->menu].second) << target;
+    }
+
+    const auto got = front.frontier(0);
+    ASSERT_EQ(got.size(), frontier.size()) << threads;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].amat_s, frontier[i].amat_s) << threads << " " << i;
+      EXPECT_EQ(got[i].energy_j, frontier[i].energy_j) << threads << " " << i;
+      EXPECT_EQ(got[i].tox_menu, labels[frontier[i].menu].first) << i;
+      EXPECT_EQ(got[i].vth_menu, labels[frontier[i].menu].second) << i;
+      // The stored assignment re-sums to the stored totals.
+      std::array<cachemodel::ComponentMetrics, 8> metrics;
+      for (std::size_t c = 0; c < 8; ++c) {
+        const auto kind = static_cast<ComponentKind>(c % 4);
+        metrics[c] = component_of(*f.system, c,
+                                  c < 4 ? got[i].l1.get(kind)
+                                        : got[i].l2.get(kind));
+      }
+      const auto [amat, energy] = brute_totals(*f.system, metrics);
+      EXPECT_EQ(amat, got[i].amat_s) << i;
+      EXPECT_EQ(energy, got[i].energy_j) << i;
+    }
+  }
 }
 
 TEST(TupleSolver, Figure2HeadlineOrderings) {
